@@ -24,7 +24,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .metrics import summarize, write_block_csv, write_summary_json
+from .metrics import write_block_csv, write_summary_json
 from .simnet import RelayStrategy, Scenario, ScenarioError, run_scenario
 
 EXIT_OK = 0
@@ -77,12 +77,11 @@ def _execute(sc: Scenario, outdir: Path) -> dict:
         json.dump(sc.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
     log = run_scenario(sc)
-    log.write(outdir / "events.ndjson")
+    log_sha256 = log.write(outdir / "events.ndjson")
     write_block_csv(log, outdir / "blocks.csv")
-    write_summary_json(log, outdir / "summary.json")
+    summary = write_summary_json(log, outdir / "summary.json")
     marker.unlink()
-    summary = summarize(log)
-    summary["log_sha256"] = log.sha256()
+    summary["log_sha256"] = log_sha256
     return summary
 
 

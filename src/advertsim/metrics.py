@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .simnet import EventLog
 
@@ -74,15 +76,6 @@ def best_chain(log: EventLog) -> list[str]:
     return chain
 
 
-def _ancestry(blocks: dict[str, BlockInfo], oid: str, genesis: str) -> list[str]:
-    out = []
-    cur = oid
-    while cur != genesis:
-        out.append(cur)
-        cur = blocks[cur].parent
-    return out
-
-
 def _adoption_times(log: EventLog) -> dict[tuple[int, str], float]:
     """First time each node's adopted chain contains each block."""
     blocks = _blocks(log)
@@ -93,10 +86,13 @@ def _adoption_times(log: EventLog) -> dict[tuple[int, str], float]:
         if r.kind != "tip_adopt":
             continue
         have = on_chain.setdefault(r.src, set())
-        for oid in _ancestry(blocks, r.oid, genesis):
-            if oid not in have:
-                have.add(oid)
-                first[(r.src, oid)] = r.t
+        # ``have`` holds every ancestor of each of its blocks, so the walk
+        # can stop at the first block the node already has
+        cur = r.oid
+        while cur != genesis and cur not in have:
+            have.add(cur)
+            first[(r.src, cur)] = r.t
+            cur = blocks[cur].parent
     return first
 
 
@@ -224,9 +220,18 @@ def wasted_hashpower(log: EventLog) -> WasteStats:
 
 
 def _mismatch_time(steps: list[tuple[float, str]], start: float, end: float, tip: str) -> float:
-    """Length of [start, end) during which the best tip differs from ``tip``."""
+    """Length of [start, end) during which the best tip differs from ``tip``.
+
+    Step times never decrease (each block is found after its parent), so only
+    the steps from the one in force at ``start`` to the last one starting
+    before ``end`` can overlap the interval.
+    """
     total = 0.0
-    for i, (t_i, oid) in enumerate(steps):
+    first = max(0, bisect_right(steps, start, key=itemgetter(0)) - 1)
+    for i in range(first, len(steps)):
+        t_i, oid = steps[i]
+        if t_i >= end:
+            break
         t_next = steps[i + 1][0] if i + 1 < len(steps) else float("inf")
         lo = max(start, t_i)
         hi = min(end, t_next)
@@ -328,7 +333,10 @@ def write_block_csv(log: EventLog, path) -> None:
             )
 
 
-def write_summary_json(log: EventLog, path) -> None:
+def write_summary_json(log: EventLog, path) -> dict:
+    """Write ``summarize(log)`` to ``path`` as JSON and return it."""
+    summary = summarize(log)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(summarize(log), f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
+    return summary

@@ -28,6 +28,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -343,6 +344,11 @@ def _connected(n: int, edges) -> bool:
 # --- event log ------------------------------------------------------------
 
 
+# Compact JSON; sorted keys only matter for the meta line.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_CHUNK_LINES = 1024
+
+
 class LogRecord(NamedTuple):
     """One simulator event. Unused columns hold '' / -1 / 0."""
 
@@ -366,22 +372,32 @@ class EventLog:
         self.records: list[LogRecord] = []
 
     def lines(self) -> Iterator[str]:
-        yield json.dumps({"meta": self.meta}, sort_keys=True, separators=(",", ":"))
-        for r in self.records:
-            yield json.dumps(list(r), separators=(",", ":"))
+        yield _encode({"meta": self.meta})
+        yield from map(_encode, self.records)  # a LogRecord encodes as a JSON list
+
+    def _chunks(self) -> Iterator[bytes]:
+        """The serialized log, newline-terminated lines, _CHUNK_LINES per chunk.
+
+        Bounded chunks keep peak memory at one chunk, not one log.
+        """
+        lines = self.lines()
+        while batch := list(islice(lines, _CHUNK_LINES)):
+            yield ("\n".join(batch) + "\n").encode()
 
     def sha256(self) -> str:
         h = hashlib.sha256()
-        for line in self.lines():
-            h.update(line.encode())
-            h.update(b"\n")
+        for chunk in self._chunks():
+            h.update(chunk)
         return h.hexdigest()
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for line in self.lines():
-                f.write(line)
-                f.write("\n")
+    def write(self, path) -> str:
+        """Write the log to ``path``; return the sha256 hex of the bytes written."""
+        h = hashlib.sha256()
+        with open(path, "wb") as f:
+            for chunk in self._chunks():
+                f.write(chunk)
+                h.update(chunk)
+        return h.hexdigest()
 
     @classmethod
     def read(cls, path) -> "EventLog":

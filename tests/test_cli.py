@@ -1,10 +1,12 @@
 """CLI: scenario loading, run orchestration, sweeps, compare, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from advertsim import cli
 from advertsim.cli import (
     EXIT_OK,
     EXIT_SCENARIO,
@@ -12,10 +14,13 @@ from advertsim.cli import (
     load_scenario,
     main,
 )
-from advertsim.simnet import RelayStrategy, ScenarioError
+from advertsim.metrics import summarize
+from advertsim.simnet import EventLog, RelayStrategy, ScenarioError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REGIME = REPO_ROOT / "scenarios" / "regime_16node.json"
+# event-log digests pinned by the benchmark; tests only read them
+GOLDEN = REPO_ROOT / "perfbench" / "golden.json"
 
 TINY = {
     "schema_version": 1,
@@ -197,6 +202,31 @@ class TestSweepAndCompare:
         assert set(doc["strategies"]) == {"BASELINE_FULL_BLOCK", "ADVERT_PROTOCOL"}
         for entry in doc["strategies"].values():
             assert "mean_latency" in entry and "waste_fraction" in entry
+
+    def test_compare_log_digest_is_sha256_of_written_log(self, tmp_path, monkeypatch):
+        demo = json.loads(GOLDEN.read_text(encoding="utf-8"))["demo"]
+        returned = {}
+        execute = cli._execute
+
+        def recording_execute(sc, outdir):
+            returned[sc.relay_strategy.value] = summary = execute(sc, outdir)
+            return summary
+
+        monkeypatch.setattr(cli, "_execute", recording_execute)
+        strategies = ",".join(s.value for s in RelayStrategy)
+        argv = ["compare", "--scenario", str(REPO_ROOT / demo["scenario"]), "--strategies",
+                strategies, "--seed", str(demo["seed"]), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert sorted(returned) == sorted(demo["digests"])
+        root = tmp_path / "two-node-demo-compare"
+        for strategy, summary in returned.items():
+            events = root / strategy / "events.ndjson"
+            digest = hashlib.sha256(events.read_bytes()).hexdigest()
+            log = EventLog.read(events)
+            assert summary.pop("log_sha256") == digest
+            assert digest == log.sha256() == demo["digests"][strategy]
+            written = json.loads((root / strategy / "summary.json").read_text(encoding="utf-8"))
+            assert written == summarize(log) == summary
 
 
 class TestValidateAndExitCodes:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from advertsim import metrics
 from advertsim.metrics import (
     best_chain,
     propagation_latency,
@@ -247,6 +248,51 @@ class TestReplayOracle:
         assert summarize(reread) == summarize(live)
         assert stale_rate(reread) == stale_rate(live)
         assert wasted_hashpower(reread).per_node_wasted == wasted_hashpower(live).per_node_wasted
+
+    @pytest.mark.parametrize("strategy", list(RelayStrategy))
+    def test_shortcut_walks_match_full_scans(self, strategy, monkeypatch):
+        sc = Scenario(
+            node_count=6,
+            topology={"kind": "ring"},
+            hash_rate=10.0,
+            difficulty_bits=5,
+            tx_rate=2.0,
+            horizon_seconds=30.0,
+            seed=3,
+            relay_strategy=strategy,
+            link_latency={"kind": "uniform", "low": 0.05, "high": 0.5},
+        )
+        log = run_scenario(sc)
+        assert stale_rate(log) > 0  # forks, so adoptions switch branches
+        # reference: walk every adopted tip to genesis
+        parents = {r.oid: r.ref for r in log.records if r.kind == "block_found"}
+        genesis = log.meta["genesis"]
+        first, on_chain = {}, {}
+        for r in log.records:
+            if r.kind == "tip_adopt":
+                have = on_chain.setdefault(r.src, set())
+                cur = r.oid
+                while cur != genesis:
+                    if cur not in have:
+                        have.add(cur)
+                        first[(r.src, cur)] = r.t
+                    cur = parents[cur]
+        assert list(metrics._adoption_times(log).items()) == list(first.items())
+
+        # reference: every adoption interval scans every best-chain step
+        def full_scan(steps, start, end, tip):
+            total = 0.0
+            for i, (t_i, oid) in enumerate(steps):
+                t_next = steps[i + 1][0] if i + 1 < len(steps) else float("inf")
+                lo, hi = max(start, t_i), min(end, t_next)
+                if hi > lo and oid != tip:
+                    total += hi - lo
+            return total
+
+        wasted = wasted_hashpower(log).per_node_wasted
+        monkeypatch.setattr(metrics, "_mismatch_time", full_scan)
+        assert wasted == wasted_hashpower(log).per_node_wasted
+        assert any(wasted.values())
 
 
 class TestSizeAccounting:
