@@ -158,10 +158,6 @@ class AdvertRegistry:
         return len(self.entries)
 
 
-def register_advert(registry: AdvertRegistry, advert: Advert) -> RegistrationResult:
-    return registry.register(advert)
-
-
 class Mempool:
     """Pending transactions, conflict-free and valid against the current tip."""
 

@@ -59,6 +59,7 @@ from .protocol import (
     SelectionPolicy,
     make_advert,
     make_block_seed,
+    missing_txs,
     on_block_accepted,
     reconstruct_block,
     validate_block,
@@ -97,10 +98,14 @@ class Link:
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
 
+    def delay(self, size: int) -> float:
+        """Seconds for a message of ``size`` modelled bytes to cross the link."""
+        return self.latency + size / self.bandwidth
+
 
 def transmission_delay(message, link: Link) -> float:
     """Seconds for ``message`` to cross ``link``: latency + size/bandwidth."""
-    return link.latency + serialized_size(message) / link.bandwidth
+    return link.delay(serialized_size(message))
 
 
 _KEY_TAGS = {
@@ -231,7 +236,6 @@ def _validate_dist(field_name: str, spec, allow_zero: bool) -> None:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError(field_name, "must be a dict with a 'kind'")
     kind = spec["kind"]
-    low_bound = 0.0 if allow_zero else 0.0
     if kind == "constant":
         v = spec.get("value")
         if not isinstance(v, (int, float)):
@@ -244,7 +248,7 @@ def _validate_dist(field_name: str, spec, allow_zero: bool) -> None:
             raise ScenarioError(field_name, "uniform distribution needs numeric 'low' and 'high'")
         if low > high:
             raise ScenarioError(field_name, "low must be <= high")
-        if low < low_bound or (not allow_zero and low <= 0):
+        if low < 0 or (not allow_zero and low <= 0):
             raise ScenarioError(field_name, "bounds must be positive" if not allow_zero else "bounds must be >= 0")
     else:
         raise ScenarioError(field_name, f"unknown distribution kind {kind!r}")
@@ -418,12 +422,17 @@ class _Delivery(NamedTuple):
     oid: str
     mid: int
     cpb: float  # cumulative relay bytes along the path, delivery included
+    size: int  # modelled wire size of msg
 
 
 class _PendingSeed:
-    """A seed or full block that cannot be validated yet; retried as prerequisites arrive."""
+    """A seed or full block that cannot be validated yet; retried as prerequisites arrive.
 
-    __slots__ = ("seed", "src", "cpb", "block_h", "full_block")
+    ``missing`` holds the advertised transactions the seed lacked at its
+    last try; it is empty while the seed waits for its advert or parent.
+    """
+
+    __slots__ = ("seed", "src", "cpb", "block_h", "full_block", "missing")
 
     def __init__(
         self,
@@ -438,6 +447,7 @@ class _PendingSeed:
         self.cpb = cpb
         self.block_h = block_h
         self.full_block = full_block
+        self.missing: frozenset[Hash] = frozenset()
 
 
 class _Node:
@@ -579,21 +589,23 @@ class _Sim:
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, kind, payload))
 
-    def _send(self, src: int, dst: int, msg, family: str, oid: str, cpb: float) -> None:
+    def _send(self, src: int, dst: int, msg, family: str, oid: str, cpb: float, size: int) -> None:
+        """Send ``msg``; ``size`` is its modelled size, computed once where the message was made."""
         self.mid += 1
-        size = serialized_size(msg)
         t_send = self.now + self.proc
         self.log.records.append(
             LogRecord(t_send, "send", src, dst, family, size, self.mid, oid, "", cpb)
         )
         key = (src, dst) if src < dst else (dst, src)
-        arrival = t_send + transmission_delay(msg, self.links[key])
-        self._schedule(arrival, "deliver", _Delivery(src, dst, msg, family, oid, self.mid, cpb))
+        arrival = t_send + self.links[key].delay(size)
+        self._schedule(arrival, "deliver", _Delivery(src, dst, msg, family, oid, self.mid, cpb, size))
 
-    def _flood(self, node: _Node, msg, family: str, oid: str, exclude: int | None, cpb: float) -> None:
+    def _flood(
+        self, node: _Node, msg, family: str, oid: str, exclude: int | None, cpb: float, size: int
+    ) -> None:
         for nb in node.neighbors:
             if nb != exclude:
-                self._send(node.nid, nb, msg, family, oid, cpb)
+                self._send(node.nid, nb, msg, family, oid, cpb, size)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -623,7 +635,8 @@ class _Sim:
             node.proto.registry.register(advert)
             oid = gossip_dedup_key(advert).short()
             node.seen.add(oid)
-            self._flood(node, advert, "advert", oid, None, float(serialized_size(advert)))
+            size = serialized_size(advert)
+            self._flood(node, advert, "advert", oid, None, float(size), size)
         self._restart_mining(node, advert)
 
     def _restart_mining(self, node: _Node, advert: Advert | None) -> None:
@@ -684,6 +697,7 @@ class _Sim:
         parent = block.header.prev_block_hash
         height = node.proto.chain.heights[parent] + 1
         self.find_time[bh] = self.now
+        block_size = serialized_size(block)
         self.log.records.append(
             LogRecord(
                 self.now,
@@ -691,7 +705,7 @@ class _Sim:
                 nid,
                 -1,
                 "",
-                serialized_size(block),
+                block_size,
                 len(block.transactions),
                 bh.short(),
                 parent.short(),
@@ -702,14 +716,16 @@ class _Sim:
             assert advert is not None
             a_oid = gossip_dedup_key(advert).short()
             node.seen.add(a_oid)
-            self._flood(node, advert, "advert", a_oid, None, float(serialized_size(advert)))
+            a_size = serialized_size(advert)
+            self._flood(node, advert, "advert", a_oid, None, float(a_size), a_size)
         if self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
             node.seen.add(bh.short())
-            self._flood(node, block, "block", bh.short(), None, float(serialized_size(block)))
+            self._flood(node, block, "block", bh.short(), None, float(block_size), block_size)
         else:
             seed = make_block_seed(block)
             node.seen.add(bh.short())
-            self._flood(node, seed, "seed", bh.short(), None, float(serialized_size(seed)))
+            seed_size = serialized_size(seed)
+            self._flood(node, seed, "seed", bh.short(), None, float(seed_size), seed_size)
         self._accept(node, block, 0.0)
 
     def _on_tx_arrival(self) -> None:
@@ -728,13 +744,13 @@ class _Sim:
         origin.seen.add(oid)
         origin.tx_store.insert_unchecked(tx)
         origin.proto.mempool.add(tx, origin.proto.chain.utxo)
-        self._flood(origin, tx, "tx", oid, None, 0.0)
+        self._flood(origin, tx, "tx", oid, None, 0.0, serialized_size(tx))
         self._retry_pending_for_tx(origin, h)
         self._schedule(self.now + rng.expovariate(sc.tx_rate), "tx_arrival", None)
 
     def _on_deliver(self, d: _Delivery) -> None:
         self.log.records.append(
-            LogRecord(self.now, "deliver", d.src, d.dst, d.family, serialized_size(d.msg), d.mid, d.oid, "", d.cpb)
+            LogRecord(self.now, "deliver", d.src, d.dst, d.family, d.size, d.mid, d.oid, "", d.cpb)
         )
         node = self.nodes[d.dst]
         family = d.family
@@ -743,13 +759,13 @@ class _Sim:
                 return
             node.seen.add(d.oid)
             self._ingest_tx(node, d.msg)
-            self._flood(node, d.msg, "tx", d.oid, d.src, 0.0)
+            self._flood(node, d.msg, "tx", d.oid, d.src, 0.0, d.size)
         elif family == "advert":
             if d.oid in node.seen:
                 return
             node.seen.add(d.oid)
             self._handle_advert(node, d)
-            self._flood(node, d.msg, "advert", d.oid, d.src, d.cpb + serialized_size(d.msg))
+            self._flood(node, d.msg, "advert", d.oid, d.src, d.cpb + d.size, d.size)
         elif family == "seed":
             if d.oid in node.seen:
                 return
@@ -782,7 +798,7 @@ class _Sim:
             node.advert_in[key] = (self.now, d.cpb)
         registered = node.proto.registry.lookup(*key)
         if registered is advert:
-            missing = [h for h in advert.tx_hashes if h not in node.tx_store]
+            missing = missing_txs(advert, node.tx_store)
             if missing:
                 self._request_txs(node, missing, d.src, key)
         for pend in list(node.pending.values()):
@@ -814,20 +830,16 @@ class _Sim:
             if not verdict.accepted:
                 return
             self._accept(node, pend.full_block, pend.cpb)
-            self._flood(
-                node,
-                pend.full_block,
-                "block",
-                pend.block_h.short(),
-                pend.src,
-                pend.cpb + serialized_size(pend.full_block),
-            )
+            size = serialized_size(pend.full_block)
+            self._flood(node, pend.full_block, "block", pend.block_h.short(), pend.src, pend.cpb + size, size)
             return
         seed = pend.seed
         advert = proto.registry.lookup(seed.coinbase_address, seed.header.prev_block_hash)
         if advert is None:
+            pend.missing = frozenset()
             return  # still waiting for the advert
-        missing = [h for h in advert.tx_hashes if h not in node.tx_store]
+        missing = missing_txs(advert, node.tx_store)
+        pend.missing = frozenset(missing)
         if missing:
             if request_from is not None:
                 # the seed sender validated the block, so it has every tx
@@ -846,7 +858,8 @@ class _Sim:
         self._accept(node, block, pb)
         # the forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
-        self._flood(node, seed, "seed", pend.block_h.short(), pend.src, pend.cpb + serialized_size(seed))
+        size = serialized_size(seed)
+        self._flood(node, seed, "seed", pend.block_h.short(), pend.src, pend.cpb + size, size)
 
     def _post_find_extras(self, node: _Node, key, bh: Hash) -> float:
         """Advert and pull bytes that had to move after the block was found."""
@@ -871,7 +884,8 @@ class _Sim:
         if not verdict.accepted:
             return
         self._accept(node, block, cpb)
-        self._flood(node, block, "block", bh.short(), src, cpb + serialized_size(block))
+        size = serialized_size(block)
+        self._flood(node, block, "block", bh.short(), src, cpb + size, size)
 
     def _handle_tx_request(self, node: _Node, d: _Delivery) -> None:
         req: TxRequest = d.msg
@@ -879,7 +893,8 @@ class _Sim:
             node.tx_store.txs[h] for h in req.hashes if h in node.tx_store
         )
         if have:
-            self._send(node.nid, d.src, TxResponse(have), "txresp", "", 0.0)
+            resp = TxResponse(have)
+            self._send(node.nid, d.src, resp, "txresp", "", 0.0, serialized_size(resp))
 
     def _handle_tx_response(self, node: _Node, resp: TxResponse) -> None:
         for tx in resp.txs:
@@ -891,7 +906,7 @@ class _Sim:
                 oid = gossip_dedup_key(tx).short()
                 node.seen.add(oid)
                 self._ingest_tx(node, tx)
-                self._flood(node, tx, "tx", oid, None, 0.0)
+                self._flood(node, tx, "tx", oid, None, 0.0, serialized_size(tx))
 
     def _request_txs(
         self, node: _Node, missing: list[Hash], target: int, key, force: bool = False
@@ -900,17 +915,15 @@ class _Sim:
         if not outstanding:
             return
         req = TxRequest(tuple(outstanding))
+        size = serialized_size(req)
         for h in outstanding:
             node.req_map[h] = key
-        node.pull_log.setdefault(key, []).append(
-            (self.now + self.proc, float(serialized_size(req)))
-        )
-        self._send(node.nid, target, req, "txreq", "", 0.0)
+        node.pull_log.setdefault(key, []).append((self.now + self.proc, float(size)))
+        self._send(node.nid, target, req, "txreq", "", 0.0, size)
 
     def _retry_pending_for_tx(self, node: _Node, h: Hash) -> None:
-        if not node.pending:
-            return
-        for pend in list(node.pending.values()):
+        # a seed advances on a new transaction only if it lacked that one
+        for pend in [p for p in node.pending.values() if h in p.missing]:
             self._try_seed(node, pend)
 
     def _accept(self, node: _Node, block: Block, pb: float) -> None:
@@ -944,7 +957,8 @@ class _Sim:
             if next_advert is not None:
                 oid = gossip_dedup_key(next_advert).short()
                 node.seen.add(oid)
-                self._flood(node, next_advert, "advert", oid, None, float(serialized_size(next_advert)))
+                size = serialized_size(next_advert)
+                self._flood(node, next_advert, "advert", oid, None, float(size), size)
             self._restart_mining(node, next_advert)
         # a newly known block may unblock seeds waiting on their parent
         for pend in list(node.pending.values()):

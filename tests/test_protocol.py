@@ -34,7 +34,6 @@ from advertsim.protocol import (
     missing_txs,
     on_block_accepted,
     reconstruct_block,
-    register_advert,
     validate_block,
     validate_block_baseline,
 )
@@ -88,7 +87,7 @@ class TestRegistry:
         rng = random.Random(5)
         reg = AdvertRegistry()
         advert = make_advert(rand_address(rng), rand_hash(rng), Mempool())
-        assert register_advert(reg, advert) is RegistrationResult.REGISTERED
+        assert reg.register(advert) is RegistrationResult.REGISTERED
 
     def test_second_advert_for_same_pair_rejected_first_retained(self):
         rng = random.Random(6)

@@ -1,5 +1,6 @@
 """Simulator: delays, dedup, topologies, determinism, causality, and flooding."""
 
+import collections
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from advertsim.simnet import (
     RelayStrategy,
     Scenario,
     ScenarioError,
+    _Sim,
     build_topology,
     gossip_dedup_key,
     run_scenario,
@@ -346,3 +348,75 @@ class TestFloodCompleteness:
         assert len(set(tips.values())) == 1  # quiescent network agrees on the tip
         for node_accepts in accepts.values():
             assert node_accepts <= blocks  # never accept a block nobody found
+
+
+class _CountingSim(_Sim):
+    """The simulator as shipped, counting its pending-seed tries."""
+
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
+        self.tries = 0
+
+    def _try_seed(self, node, pend, request_from=None):
+        self.tries += 1
+        super()._try_seed(node, pend, request_from)
+
+
+class _FullScanSim(_CountingSim):
+    """Reference: every new transaction retries every parked seed."""
+
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
+        self.tx_tries = 0
+        self.tx_advances = 0  # tx-triggered tries that resolved their seed
+
+    def _retry_pending_for_tx(self, node, h):
+        for pend in list(node.pending.values()):
+            self.tx_tries += 1
+            self._try_seed(node, pend)
+            self.tx_advances += pend.block_h not in node.pending
+
+
+class TestPendingSeedRetryOracle:
+    """Retrying a parked seed only on a transaction it lacked changes no log line."""
+
+    @pytest.mark.parametrize(
+        "strategy, bandwidth, txs_unblock",
+        [
+            # on fast links a transaction always lands before a seed naming
+            # it: ADVERT's tx-triggered retries all find the seed unchanged
+            # (LATE makes none there)
+            ("ADVERT_PROTOCOL", 1_000_000.0, False),
+            # on thin links the 300 B seed outruns the 500 B transactions it names
+            ("ADVERT_PROTOCOL", 2_000.0, True),
+            ("LATE_ADVERT", 2_000.0, True),
+        ],
+        ids=["ADVERT-fast-links", "ADVERT-thin-links", "LATE-thin-links"],
+    )
+    def test_filtered_retries_match_full_scan(self, strategy, bandwidth, txs_unblock):
+        # forky and cold: stale rate near 0.5, so seeds park on their
+        # parents and adverts
+        sc = Scenario(
+            node_count=16,
+            topology={"kind": "random_regular", "degree": 4},
+            hash_rate=10.0,
+            difficulty_bits=6,
+            tx_rate=10.0,
+            initial_mempool_txs=0,
+            horizon_seconds=30.0,
+            seed=1,
+            relay_strategy=RelayStrategy(strategy),
+            link_latency={"kind": "uniform", "low": 0.05, "high": 0.5},
+            link_bandwidth={"kind": "constant", "value": bandwidth},
+        )
+        ref = _FullScanSim(sc)
+        ref_lines = list(ref.run().lines())
+        real = _CountingSim(sc)
+        log = real.run()
+        assert list(log.lines()) == ref_lines
+        assert ref.tx_tries > 0
+        if txs_unblock:
+            assert ref.tx_advances > 0
+        assert real.tries < ref.tries
+        accepts = collections.Counter((r.src, r.oid) for r in log.records if r.kind == "block_accept")
+        assert accepts and max(accepts.values()) == 1
