@@ -33,7 +33,9 @@ class Hash(bytes):
     """A 32-byte digest. Ordering and equality are bytewise."""
 
     def __new__(cls, data: bytes) -> "Hash":
-        b = bytes(data)
+        if type(data) is cls:
+            return data  # immutable, so the instance itself serves
+        b = data if type(data) is bytes else bytes(data)
         if len(b) != 32:
             raise ValueError(f"Hash must be exactly 32 bytes, got {len(b)}")
         return super().__new__(cls, b)

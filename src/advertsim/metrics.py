@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .simnet import EventLog
+from .simnet import EventLog, LogRecord
 
 BLOCK_CSV_COLUMNS = [
     "block",
@@ -36,23 +36,56 @@ BLOCK_CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class BlockInfo:
-    oid: str
-    parent: str
-    height: int
-    finder: int
-    found_at: float
-    size: int
-    tx_count: int
+class _LogIndex:
+    """What the metrics read from one log, gathered in one pass over its records.
 
+    ``blocks`` maps each block id to its ``block_found`` record (find order);
+    ``adopts`` holds the ``tip_adopt`` records in log order; ``sizes`` has the
+    send bytes by family and the widest critical path per accepted block;
+    ``best`` is the eventually-best chain. Records are referenced, not copied.
+    """
 
-def _blocks(log: EventLog) -> dict[str, BlockInfo]:
-    out: dict[str, BlockInfo] = {}
-    for r in log.records:
-        if r.kind == "block_found":
-            out[r.oid] = BlockInfo(r.oid, r.ref, int(r.val), r.src, r.t, r.size, r.mid)
-    return out
+    __slots__ = ("meta", "blocks", "adopts", "sizes", "best")
+
+    def __init__(self, log: EventLog) -> None:
+        self.meta = log.meta
+        blocks: dict[str, LogRecord] = {}
+        adopts: list[LogRecord] = []
+        sizes = SizeStats()
+        fam = sizes.bytes_by_family
+        crit = sizes.critical_path_bytes
+        for r in log.records:
+            kind = r.kind
+            if kind == "send":
+                fam[r.msg] = fam.get(r.msg, 0) + r.size
+            elif kind == "deliver":  # as common as send, and read by no metric
+                continue
+            elif kind == "block_accept":
+                if r.val > crit.get(r.oid, -1.0):
+                    crit[r.oid] = r.val
+            elif kind == "tip_adopt":
+                adopts.append(r)
+            elif kind == "block_found":
+                blocks[r.oid] = r
+        self.blocks = blocks
+        self.adopts = adopts
+        self.sizes = sizes
+        self.best = self._best_chain()
+
+    def _best_chain(self) -> list[str]:
+        blocks = self.blocks
+        if not blocks:
+            return []
+        # highest block, earliest find among equal heights (val is the height)
+        tip = max(blocks.values(), key=lambda b: (b.val, -b.t))
+        genesis = self.meta["genesis"]
+        chain = []
+        cur = tip.oid
+        while cur != genesis:
+            chain.append(cur)
+            cur = blocks[cur].ref
+        chain.reverse()
+        return chain
 
 
 def best_chain(log: EventLog) -> list[str]:
@@ -62,29 +95,16 @@ def best_chain(log: EventLog) -> list[str]:
     earliest find wins. This is the hindsight chain all metrics compare
     against.
     """
-    blocks = _blocks(log)
-    if not blocks:
-        return []
-    tip = max(blocks.values(), key=lambda b: (b.height, -b.found_at))
-    genesis = log.meta["genesis"]
-    chain = []
-    cur = tip.oid
-    while cur != genesis:
-        chain.append(cur)
-        cur = blocks[cur].parent
-    chain.reverse()
-    return chain
+    return _LogIndex(log).best
 
 
-def _adoption_times(log: EventLog) -> dict[tuple[int, str], float]:
+def _adoption_times(ix: _LogIndex) -> dict[tuple[int, str], float]:
     """First time each node's adopted chain contains each block."""
-    blocks = _blocks(log)
-    genesis = log.meta["genesis"]
+    blocks = ix.blocks
+    genesis = ix.meta["genesis"]
     first: dict[tuple[int, str], float] = {}
     on_chain: dict[int, set[str]] = {}
-    for r in log.records:
-        if r.kind != "tip_adopt":
-            continue
+    for r in ix.adopts:
         have = on_chain.setdefault(r.src, set())
         # ``have`` holds every ancestor of each of its blocks, so the walk
         # can stop at the first block the node already has
@@ -92,7 +112,7 @@ def _adoption_times(log: EventLog) -> dict[tuple[int, str], float]:
         while cur != genesis and cur not in have:
             have.add(cur)
             first[(r.src, cur)] = r.t
-            cur = blocks[cur].parent
+            cur = blocks[cur].ref
     return first
 
 
@@ -140,12 +160,16 @@ def propagation_latency(log: EventLog) -> PropagationStats:
 
     Nodes that never adopt a block contribute no sample for it.
     """
-    blocks = _blocks(log)
+    return _propagation(_LogIndex(log))
+
+
+def _propagation(ix: _LogIndex) -> PropagationStats:
+    blocks = ix.blocks
     stats = PropagationStats(empty=not blocks)
     if not blocks:
         return stats
-    for (node, oid), t in _adoption_times(log).items():
-        stats.per_block.setdefault(oid, []).append((node, t - blocks[oid].found_at))
+    for (node, oid), t in _adoption_times(ix).items():
+        stats.per_block.setdefault(oid, []).append((node, t - blocks[oid].t))
     return stats
 
 
@@ -154,12 +178,15 @@ def stale_rate(log: EventLog) -> float | None:
 
     None when the log contains no blocks at all.
     """
-    blocks = _blocks(log)
-    if not blocks:
+    return _stale_rate(_LogIndex(log))
+
+
+def _stale_rate(ix: _LogIndex) -> float | None:
+    if not ix.blocks:
         return None
-    best = set(best_chain(log))
-    stale = sum(1 for oid in blocks if oid not in best)
-    return stale / len(blocks)
+    best = set(ix.best)
+    stale = sum(1 for oid in ix.blocks if oid not in best)
+    return stale / len(ix.blocks)
 
 
 @dataclass
@@ -192,19 +219,21 @@ def wasted_hashpower(log: EventLog) -> WasteStats:
     already found; a node mining on anything else is wasting its hash
     power, whether it is behind or on a losing fork.
     """
-    meta = log.meta
+    return _waste(_LogIndex(log))
+
+
+def _waste(ix: _LogIndex) -> WasteStats:
+    meta = ix.meta
     horizon = float(meta["scenario"]["horizon_seconds"])
     node_count = int(meta["scenario"]["node_count"])
     genesis = meta["genesis"]
-    blocks = _blocks(log)
-    best = best_chain(log)
-    # step function: after steps[i].found_at the best tip is steps[i]
-    steps = [(0.0, genesis)] + [(blocks[oid].found_at, oid) for oid in best]
+    blocks = ix.blocks
+    # step function: from its find time on, each step's block is the best tip
+    steps = [(0.0, genesis)] + [(blocks[oid].t, oid) for oid in ix.best]
 
     adoptions: dict[int, list[tuple[float, str]]] = {n: [(0.0, genesis)] for n in range(node_count)}
-    for r in log.records:
-        if r.kind == "tip_adopt":
-            adoptions[r.src].append((r.t, r.oid))
+    for r in ix.adopts:
+        adoptions[r.src].append((r.t, r.oid))
 
     stats = WasteStats(mining_seconds_per_node=horizon)
     for nid in range(node_count):
@@ -261,31 +290,21 @@ class SizeStats:
 def size_report(log: EventLog) -> SizeStats:
     """Family byte totals over all sends, and the widest post-find relay path
     (in bytes) any node needed before accepting each block."""
-    stats = SizeStats()
-    fam = stats.bytes_by_family
-    crit = stats.critical_path_bytes
-    for r in log.records:
-        if r.kind == "send":
-            fam[r.msg] = fam.get(r.msg, 0) + r.size
-        elif r.kind == "block_accept":
-            if r.val > crit.get(r.oid, -1.0):
-                crit[r.oid] = r.val
-    return stats
+    return _LogIndex(log).sizes
 
 
 def summarize(log: EventLog) -> dict:
     """The versioned JSON summary document for one run."""
-    blocks = _blocks(log)
-    prop = propagation_latency(log)
-    waste = wasted_hashpower(log)
-    sizes = size_report(log)
-    best = best_chain(log)
+    ix = _LogIndex(log)
+    prop = _propagation(ix)
+    waste = _waste(ix)
+    sizes = ix.sizes
     return {
         "schema": 1,
         "scenario": log.meta["scenario"],
-        "blocks_found": len(blocks),
-        "best_chain_length": len(best),
-        "stale_rate": stale_rate(log),
+        "blocks_found": len(ix.blocks),
+        "best_chain_length": len(ix.best),
+        "stale_rate": _stale_rate(ix),
         "propagation": {
             "samples": len(prop.samples),
             "mean": prop.mean,
@@ -308,27 +327,27 @@ def summarize(log: EventLog) -> dict:
 
 def write_block_csv(log: EventLog, path) -> None:
     """One row per found block; column schema in BLOCK_CSV_COLUMNS."""
-    blocks = _blocks(log)
-    prop = propagation_latency(log)
-    sizes = size_report(log)
-    best = set(best_chain(log))
+    ix = _LogIndex(log)
+    prop = _propagation(ix)
+    crit = ix.sizes.critical_path_bytes
+    best = set(ix.best)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(BLOCK_CSV_COLUMNS)
-        for oid, info in blocks.items():
+        for oid, found in ix.blocks.items():
             entries = prop.per_block.get(oid, [])
             lats = [lat for _, lat in entries]
             w.writerow(
                 [
                     oid,
-                    info.height,
-                    info.finder,
-                    repr(info.found_at),
+                    int(found.val),
+                    found.src,
+                    repr(found.t),
                     int(oid not in best),
                     len(entries),
                     repr(sum(lats) / len(lats)) if lats else "",
                     repr(max(lats)) if lats else "",
-                    repr(sizes.critical_path_bytes.get(oid, 0.0)),
+                    repr(crit.get(oid, 0.0)),
                 ]
             )
 

@@ -577,10 +577,10 @@ class NodeProtocolState:
     mines: bool = True
 
 
-def on_block_accepted(
-    state: NodeProtocolState, block: Block
-) -> tuple[ChainState, Mempool, Advert | None]:
-    """Absorb a validated block and, if this node mines, found the next advert.
+def on_block_accepted(state: NodeProtocolState, block: Block) -> Advert | None:
+    """Absorb a validated block into ``state``; return the next advert, if any.
+
+    A new advert is founded when the tip changed and this node mines.
 
     The tip advances (or reorgs) per longest-chain rules; included and
     conflicting transactions leave the pool; transactions from abandoned
@@ -605,4 +605,4 @@ def on_block_accepted(
         if state.mines:
             advert = make_advert(state.address, state.chain.tip_hash, state.mempool, state.policy)
             state.registry.register(advert)
-    return state.chain, state.mempool, advert
+    return advert

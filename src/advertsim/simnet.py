@@ -28,7 +28,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -134,6 +133,19 @@ class ScenarioError(ValueError):
 _DEF_TOPOLOGY = {"kind": "random_regular", "degree": 4}
 _DEF_LATENCY = {"kind": "constant", "value": 0.05}
 _DEF_BANDWIDTH = {"kind": "constant", "value": 1_000_000.0}
+# Must be ints (bools excluded): a float such as 500.0 passes the range
+# checks and then fails deep in the run.
+_INT_FIELDS = (
+    "node_count",
+    "difficulty_bits",
+    "pow_proof_bits",
+    "tx_size_bytes",
+    "coinbase_size_bytes",
+    "initial_mempool_txs",
+    "block_size_cap_bytes",
+    "pending_seed_buffer",
+    "block_reward",
+)
 
 
 @dataclass
@@ -196,8 +208,12 @@ class Scenario:
         return [float(r) for r in self.hash_rate]
 
     def validate(self) -> None:
-        if not isinstance(self.node_count, int) or self.node_count < 1:
-            raise ScenarioError("node_count", "must be an integer >= 1")
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ScenarioError(name, "must be an integer")
+        if self.node_count < 1:
+            raise ScenarioError("node_count", "must be >= 1")
         rates = self.hash_rates()
         if len(rates) != self.node_count:
             raise ScenarioError("hash_rate", "per-node list length must equal node_count")
@@ -350,6 +366,10 @@ def _connected(n: int, edges) -> bool:
 
 # Compact JSON; sorted keys only matter for the meta line.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# One record line exactly as _encode writes it: json prints ints and finite
+# floats as their repr(), and the string columns are fixed words and hex ids,
+# which need no escaping.
+_RECORD = '[%r,"%s",%r,%r,"%s",%r,%r,"%s","%s",%r]\n'
 _CHUNK_LINES = 1024
 
 
@@ -376,17 +396,28 @@ class EventLog:
         self.records: list[LogRecord] = []
 
     def lines(self) -> Iterator[str]:
-        yield _encode({"meta": self.meta})
-        yield from map(_encode, self.records)  # a LogRecord encodes as a JSON list
+        for text in self._texts():
+            yield from text.splitlines()
+
+    def _texts(self) -> Iterator[str]:
+        """The serialized log as newline-terminated lines, _CHUNK_LINES records per piece.
+
+        Bounded pieces keep peak memory at one piece, not one log.
+        """
+        yield _encode({"meta": self.meta}) + "\n"
+        records = self.records
+        for i in range(0, len(records), _CHUNK_LINES):
+            batch = records[i : i + _CHUNK_LINES]
+            text = "".join([_RECORD % r for r in batch])
+            if "inf" in text or "nan" in text:
+                # a non-finite float: repr() spells it inf/nan, json Infinity/NaN.
+                # No fixed word or hex id contains either substring.
+                text = "".join([_encode(r) + "\n" for r in batch])
+            yield text
 
     def _chunks(self) -> Iterator[bytes]:
-        """The serialized log, newline-terminated lines, _CHUNK_LINES per chunk.
-
-        Bounded chunks keep peak memory at one chunk, not one log.
-        """
-        lines = self.lines()
-        while batch := list(islice(lines, _CHUNK_LINES)):
-            yield ("\n".join(batch) + "\n").encode()
+        for text in self._texts():
+            yield text.encode()
 
     def sha256(self) -> str:
         h = hashlib.sha256()
@@ -938,7 +969,7 @@ class _Sim:
                 node.tx_store.insert_unchecked(tx)
         proto = node.proto
         pre_tip = proto.chain.tip_hash
-        _, _, next_advert = on_block_accepted(proto, block)
+        next_advert = on_block_accepted(proto, block)
         if proto.chain.tip_hash != pre_tip:
             self.log.records.append(
                 LogRecord(

@@ -15,7 +15,7 @@ from advertsim.cli import (
     main,
 )
 from advertsim.metrics import summarize
-from advertsim.simnet import EventLog, RelayStrategy, ScenarioError
+from advertsim.simnet import EventLog, RelayStrategy, Scenario, ScenarioError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REGIME = REPO_ROOT / "scenarios" / "regime_16node.json"
@@ -246,6 +246,32 @@ class TestValidateAndExitCodes:
         path.write_text(json.dumps({**TINY, "tx_rate": -2.0}))
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
         assert "tx_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "node_count",
+            "difficulty_bits",
+            "pow_proof_bits",
+            "tx_size_bytes",
+            "coinbase_size_bytes",
+            "initial_mempool_txs",
+            "block_size_cap_bytes",
+            "pending_seed_buffer",
+            "block_reward",
+        ],
+    )
+    def test_non_integer_field_exit_2(self, field, value, tmp_path, capsys):
+        # each value is in range for its field, so only the type check rejects it
+        data = {**TINY, field: value}
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(data)
+        assert exc.value.field == field
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+        assert f"{field}: must be an integer" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert (

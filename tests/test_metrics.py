@@ -277,7 +277,7 @@ class TestReplayOracle:
                         have.add(cur)
                         first[(r.src, cur)] = r.t
                     cur = parents[cur]
-        assert list(metrics._adoption_times(log).items()) == list(first.items())
+        assert list(metrics._adoption_times(metrics._LogIndex(log)).items()) == list(first.items())
 
         # reference: every adoption interval scans every best-chain step
         def full_scan(steps, start, end, tip):

@@ -1,0 +1,70 @@
+"""Pinned sha256 digests of the metric outputs of ``advertsim compare``.
+
+``summary.json``, ``blocks.csv`` and ``comparison.json`` are pure functions
+of the event logs, whose own digests ``perfbench/golden.json`` pins. These
+pin the metric files byte for byte, for every strategy, so that a change to
+the metrics code that moves any printed number fails here. Only a change
+that alters the simulated behaviour or a metric on purpose re-pins them.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from advertsim.cli import EXIT_OK, main
+from advertsim.simnet import RelayStrategy
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+STRATEGIES = ",".join(s.value for s in RelayStrategy)
+
+# name: (scenario file, seed, horizon override, digests by output file)
+CASES = {
+    "demo": (
+        REPO_ROOT / "scenarios" / "two_node_demo.json",
+        42,
+        None,
+        {
+            "comparison.json": "d4753513646ac33266d6ca1572dab24a31ca3695d809a17f5d25816fc4ad1049",
+            "BASELINE_FULL_BLOCK/summary.json": "3cfa15c2c997e037bfe49f7e4bf04cf936b94668a83c07e8d6c7e23b8d511549",
+            "BASELINE_FULL_BLOCK/blocks.csv": "d3a644e02237a79cb767773775aa4c89aa3b492dbfbf0c122bc99ae845076ae4",
+            "ADVERT_PROTOCOL/summary.json": "9b024e01af59ea3562a285d146185fcbad0bc22a0e8114e952369645dd8c217d",
+            "ADVERT_PROTOCOL/blocks.csv": "6b8fb3c79f141d5a9d5df17fd5f603b9a59c2d427991b2bbe0dbbbc31f2a428b",
+            "LATE_ADVERT/summary.json": "af7d5117981e633d6ecf436b8d37325e4cc57810c4298b5676d19b0cab6e8346",
+            "LATE_ADVERT/blocks.csv": "b659cfed14d0372b88ad27817e8e10126c6ead4325ea68c6fbb4e434e95b5097",
+        },
+    ),
+    # the benchmark's forky-cold workload (a file the tests only read), cut to 30 s
+    "forky-cold-30s": (
+        REPO_ROOT / "perfbench" / "workloads" / "forky-cold.json",
+        1,
+        30.0,
+        {
+            "comparison.json": "4f7a4ea4a37e2f05c288cc2ae9ddbfeafaa66aa47915b62a4e0b6bda1cf86450",
+            "BASELINE_FULL_BLOCK/summary.json": "fec711263fba9f687c6c404ffe64f20775a239d1464ff632d2863f03c7ef020b",
+            "BASELINE_FULL_BLOCK/blocks.csv": "8db373ade8a1a8cd57ef2a322b4b061fcf2a52b69b2ad64c6f079e0a3d39efd8",
+            "ADVERT_PROTOCOL/summary.json": "6992102040d1b0d184540d4e7a22c74882b67c0c28e07247fbcc16169a0247f2",
+            "ADVERT_PROTOCOL/blocks.csv": "3ac5c0b2f3dd9e34a352c66b664a7a0ca2d04338dc629698153174066a3df445",
+            "LATE_ADVERT/summary.json": "ae5ef660e33705e56d1a827998457ac67486a44d1475d13148950bf534aa4a74",
+            "LATE_ADVERT/blocks.csv": "574f7d5c74ea9f263d4949b1487fab794be7d5875f5f14a2fd5d37837c074248",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_compare_outputs_match_pinned_digests(case, tmp_path):
+    source, seed, horizon, pinned = CASES[case]
+    scenario = json.loads(source.read_text(encoding="utf-8"))
+    if horizon is not None:
+        scenario["horizon_seconds"] = horizon
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["compare", "--scenario", str(path), "--seed", str(seed), "--strategies", STRATEGIES,
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    root = out / f"{scenario['name']}-compare"
+    digests = {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in pinned}
+    assert digests == pinned

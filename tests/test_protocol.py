@@ -423,7 +423,8 @@ class TestOnBlockAccepted:
         leftover = funded_tx(rng, bundle.chain.utxo)
         bundle.mempool.add(leftover, bundle.chain.utxo)
         state = self._state(bundle)
-        chain, mempool, advert = on_block_accepted(state, bundle.block)
+        advert = on_block_accepted(state, bundle.block)
+        chain = state.chain
         assert chain.tip_hash == block_hash(bundle.block)
         assert chain.height == 1
         assert advert is not None
@@ -444,7 +445,7 @@ class TestOnBlockAccepted:
         )
         competitor = mine(comp_template, MINE_BUDGET)
         state = self._state(bundle)
-        _, _, advert = on_block_accepted(state, competitor)
+        advert = on_block_accepted(state, competitor)
         assert advert is not None
         remaining = {txid(t) for t in bundle.block.transactions[2:]}
         assert set(advert.tx_hashes) == remaining
@@ -456,10 +457,10 @@ class TestOnBlockAccepted:
         conflictor = Transaction(inputs=(op,), outputs=((rand_address(rng), 7),))
         bundle.mempool.insert_unchecked(conflictor)
         state = self._state(bundle, mines=False)
-        _, mempool, advert = on_block_accepted(state, bundle.block)
+        advert = on_block_accepted(state, bundle.block)
         assert advert is None
-        assert txid(conflictor) not in mempool
-        assert len(mempool) == 0
+        assert txid(conflictor) not in state.mempool
+        assert len(state.mempool) == 0
 
     def test_reorg_restores_and_revalidates_mempool(self):
         rng = random.Random(33)

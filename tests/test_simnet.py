@@ -1,7 +1,10 @@
 """Simulator: delays, dedup, topologies, determinism, causality, and flooding."""
 
 import collections
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from advertsim.protocol import Advert
 from advertsim.simnet import (
     EventLog,
     Link,
+    LogRecord,
     RelayStrategy,
     Scenario,
     ScenarioError,
@@ -290,6 +294,70 @@ class TestDeterminismAndCausality:
         assert back.meta == log.meta
         assert back.records == log.records
         assert back.sha256() == log.sha256()
+
+
+class TestLogFormat:
+    """Each record line is written byte for byte as json writes the record."""
+
+    @staticmethod
+    def _assert_written_as_json(log: EventLog, tmp_path) -> None:
+        lines = list(log.lines())
+        assert lines[0] == json.dumps({"meta": log.meta}, sort_keys=True, separators=(",", ":"))
+        assert lines[1:] == [json.dumps(list(r), separators=(",", ":")) for r in log.records]
+        data = "".join(line + "\n" for line in lines).encode()
+        digest = hashlib.sha256(data).hexdigest()
+        path = tmp_path / "events.ndjson"
+        assert log.write(path) == digest == log.sha256()
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_simulated_logs_match_json(self, strategy, tmp_path):
+        demo = json.loads(
+            (Path(__file__).resolve().parent.parent / "scenarios" / "two_node_demo.json").read_text()
+        )
+        assert demo["seed"] == 42
+        forky = Scenario(
+            node_count=16,
+            topology={"kind": "random_regular", "degree": 4},
+            hash_rate=10.0,
+            difficulty_bits=6,
+            tx_rate=10.0,
+            horizon_seconds=30.0,
+            seed=1,
+            relay_strategy=RelayStrategy(strategy),
+            link_latency={"kind": "uniform", "low": 0.05, "high": 0.5},
+        )
+        self._assert_written_as_json(
+            run_scenario(Scenario.from_dict({**demo, "relay_strategy": strategy})), tmp_path
+        )
+        log = run_scenario(forky)
+        assert len(log.records) > 10_000  # many chunks
+        self._assert_written_as_json(log, tmp_path)
+
+    def test_edge_values_match_json(self, tmp_path):
+        oid, ref = "0123456789abcdef", "fedcba9876543210"
+        # the meta line may hold any text, "inf" and quotes included
+        log = EventLog({"schema": 1, "name": "edge \"inf\" nan"})
+        log.records.extend([
+            LogRecord(-0.0, "send", 0, 1, "tx", 500, 2**53 + 1, oid, "", 1e-07),
+            LogRecord(0.1 + 0.2, "deliver", 1, 0, "seed", 300, 10**20, oid, "", 1e16),
+            LogRecord(1e16, "block_found", 3, -1, "", 1000, 2, oid, ref, 7.0),
+            LogRecord(5e-324, "tip_adopt", 2, -1, "", 0, -1, oid, "", 1.7976931348623157e308),
+            LogRecord(123456.789, "block_accept", 2, -1, "", 0, -1, oid, "", 0.0),
+        ])
+        self._assert_written_as_json(log, tmp_path)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_written_as_json_does(self, bad, tmp_path):
+        # repr() would print inf/nan; the line must still be json's Infinity/NaN
+        oid = "0123456789abcdef"
+        log = EventLog({"schema": 1})
+        log.records.extend(
+            LogRecord(float(i), "block_accept", 0, -1, "", 0, -1, oid, "", bad if i == 700 else 1.5)
+            for i in range(1500)
+        )
+        self._assert_written_as_json(log, tmp_path)
+        assert json.dumps(bad) in list(log.lines())[701]
 
 
 class TestFloodCompleteness:
