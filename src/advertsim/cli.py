@@ -96,38 +96,39 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+# parser and its description, by the type of a field's default
+_SWEEP_PARSERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    RelayStrategy: (RelayStrategy, "a relay strategy"),
+    str: (str, "a string"),
+}
+
+
 def _parse_sweep(spec: str, sc: Scenario) -> tuple[str, list]:
+    """Split ``key=v1,v2,...`` and parse each value by the type of the field's default.
+
+    The scenario's current value does not decide: ``"tx_rate": 2`` in a
+    file still sweeps as a float field.
+    """
     if "=" not in spec:
         raise ScenarioError("sweep", "expected key=v1,v2,...")
     key, _, raw = spec.partition("=")
     key = key.strip()
-    field_types = {f.name: f for f in dataclass_fields(Scenario)}
-    if key not in field_types:
+    fields = {f.name: f for f in dataclass_fields(sc)}
+    if key not in fields:
         raise ScenarioError("sweep", f"unknown scenario field {key!r}")
-    current = getattr(sc, key)
+    parser = _SWEEP_PARSERS.get(type(fields[key].default))
+    if parser is None:
+        raise ScenarioError("sweep", f"field {key!r} cannot be swept from the command line")
+    parse, what = parser
     values = []
     for part in raw.split(","):
         part = part.strip()
-        if isinstance(current, bool):
-            raise ScenarioError("sweep", f"cannot sweep field {key!r}")
-        if isinstance(current, int) and not isinstance(current, bool):
-            try:
-                values.append(int(part))
-            except ValueError:
-                raise ScenarioError("sweep", f"value {part!r} is not an integer for {key!r}") from None
-        elif isinstance(current, float):
-            try:
-                values.append(float(part))
-            except ValueError:
-                raise ScenarioError("sweep", f"value {part!r} is not a number for {key!r}") from None
-        elif isinstance(current, RelayStrategy):
-            values.append(RelayStrategy(part))
-        elif isinstance(current, str):
-            values.append(part)
-        else:
-            raise ScenarioError("sweep", f"field {key!r} cannot be swept from the command line")
-    if not values:
-        raise ScenarioError("sweep", "no sweep values given")
+        try:
+            values.append(parse(part))
+        except ValueError:
+            raise ScenarioError("sweep", f"value {part!r} is not {what} for {key!r}") from None
     return key, values
 
 

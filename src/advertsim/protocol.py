@@ -290,17 +290,6 @@ class ChainState:
     def knows(self, h: Hash) -> bool:
         return h in self.known_blocks
 
-    def tip_chain(self) -> list[Hash]:
-        """Hashes from genesis to tip, inclusive."""
-        out = []
-        h = self.tip_hash
-        while h != self.genesis_hash:
-            out.append(h)
-            h = self._parents[h]
-        out.append(self.genesis_hash)
-        out.reverse()
-        return out
-
     # -- UTXO views ------------------------------------------------------
 
     def utxo_view_at(self, block_h: Hash) -> UtxoView:
@@ -460,8 +449,8 @@ def make_advert(
     return Advert(coinbase_address=address, tx_hashes=tuple(chosen), prev_block_hash=tip)
 
 
-def missing_txs(advert: Advert, mempool: Mempool) -> list[Hash]:
-    """Advertised hashes not in the pool, in advert order."""
+def missing_txs(advert: Advert, mempool: Mempool | dict[Hash, Transaction]) -> list[Hash]:
+    """Advertised hashes not in the pool (a Mempool or a txid map), in advert order."""
     return [h for h in advert.tx_hashes if h not in mempool]
 
 
@@ -485,13 +474,13 @@ class ReconstructionResult:
 
 
 def reconstruct_block(
-    seed: BlockSeed, registry: AdvertRegistry, mempool: Mempool
+    seed: BlockSeed, registry: AdvertRegistry, mempool: Mempool | dict[Hash, Transaction]
 ) -> ReconstructionResult:
     """Assemble the full block a seed refers to.
 
     Looks up the advert under (seed address, header's prev hash) and
-    resolves the advertised hashes from the pool. Merkle agreement is
-    validation's job, not reconstruction's.
+    resolves the advertised hashes from the pool, a Mempool or a txid
+    map. Merkle agreement is validation's job, not reconstruction's.
     """
     advert = registry.lookup(seed.coinbase_address, seed.header.prev_block_hash)
     if advert is None:
@@ -499,7 +488,7 @@ def reconstruct_block(
     missing = missing_txs(advert, mempool)
     if missing:
         return ReconstructionResult(None, Reason.MISSING_TXS, tuple(missing))
-    txs = tuple(mempool.txs[h] for h in advert.tx_hashes)
+    txs = tuple(mempool.get(h) for h in advert.tx_hashes)
     return ReconstructionResult(Block(header=seed.header, coinbase=seed.coinbase, transactions=txs))
 
 

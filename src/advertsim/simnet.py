@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -146,6 +147,14 @@ _INT_FIELDS = (
     "pending_seed_buffer",
     "block_reward",
 )
+# Must be finite numbers (bools excluded); hash_rate may also be a list of them.
+_FLOAT_FIELDS = ("tx_rate", "horizon_seconds", "processing_delay_seconds")
+
+
+def _finite_number(v) -> bool:
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
 
 
 @dataclass
@@ -212,14 +221,19 @@ class Scenario:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ScenarioError(name, "must be an integer")
+        for name in _FLOAT_FIELDS:
+            if not _finite_number(getattr(self, name)):
+                raise ScenarioError(name, "must be a finite number")
         if self.node_count < 1:
             raise ScenarioError("node_count", "must be >= 1")
-        rates = self.hash_rates()
-        if len(rates) != self.node_count:
+        per_node = isinstance(self.hash_rate, (list, tuple))
+        rates = self.hash_rate if per_node else [self.hash_rate]
+        if not all(_finite_number(r) for r in rates):
+            raise ScenarioError("hash_rate", "must be a finite number or a list of them")
+        if per_node and len(rates) != self.node_count:
             raise ScenarioError("hash_rate", "per-node list length must equal node_count")
-        for r in rates:
-            if not r > 0:
-                raise ScenarioError("hash_rate", "all hash rates must be positive")
+        if not all(r > 0 for r in rates):
+            raise ScenarioError("hash_rate", "all hash rates must be positive")
         if not 0 <= self.difficulty_bits <= 64:
             raise ScenarioError("difficulty_bits", "must be in [0, 64]")
         if not 0 <= self.pow_proof_bits <= 12:
@@ -456,66 +470,37 @@ class _Delivery(NamedTuple):
     size: int  # modelled wire size of msg
 
 
+@dataclass(slots=True, eq=False)
 class _PendingSeed:
-    """A seed or full block that cannot be validated yet; retried as prerequisites arrive.
+    """A relayed seed or full block on its way to acceptance; retried as prerequisites arrive.
 
-    ``missing`` holds the advertised transactions the seed lacked at its
+    ``missing`` holds the advertised transactions a seed lacked at its
     last try; it is empty while the seed waits for its advert or parent.
     """
 
-    __slots__ = ("seed", "src", "cpb", "block_h", "full_block", "missing")
-
-    def __init__(
-        self,
-        seed: BlockSeed,
-        src: int,
-        cpb: float,
-        block_h: Hash,
-        full_block: Block | None = None,
-    ) -> None:
-        self.seed = seed
-        self.src = src
-        self.cpb = cpb
-        self.block_h = block_h
-        self.full_block = full_block
-        self.missing: frozenset[Hash] = frozenset()
+    msg: BlockSeed | Block  # as relayed
+    src: int
+    cpb: float
+    size: int  # modelled wire size of msg
+    block_h: Hash
+    missing: frozenset[Hash] = frozenset()
 
 
+@dataclass(slots=True, eq=False)
 class _Node:
-    __slots__ = (
-        "nid",
-        "proto",
-        "rate",
-        "neighbors",
-        "tx_store",
-        "seen",
-        "pending",
-        "mining_rng",
-        "session",
-        "template",
-        "accepted",
-        "accept_pb",
-        "advert_in",
-        "pull_log",
-        "req_map",
-    )
-
-    def __init__(self, nid: int, proto: NodeProtocolState, rate: float, rng: random.Random):
-        self.nid = nid
-        self.proto = proto
-        self.rate = rate
-        self.neighbors: list[int] = []
-        self.tx_store = Mempool()  # every transaction ever seen; answers pulls
-        self.seen: set[str] = set()
-        self.pending: dict[Hash, _PendingSeed] = {}
-        self.mining_rng = rng
-        self.session = 0
-        self.template: BlockTemplate | None = None
-        self.accepted: set[Hash] = set()
-        self.accept_pb: dict[Hash, float] = {}
-        self.advert_in: dict[tuple[Address, Hash], tuple[float, float]] = {}
-        self.pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = {}
-        self.req_map: dict[Hash, tuple[Address, Hash]] = {}
+    nid: int
+    proto: NodeProtocolState
+    rate: float
+    mining_rng: random.Random
+    neighbors: list[int] = field(default_factory=list)
+    tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
+    seen: set[str] = field(default_factory=set)
+    pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
+    session: int = 0
+    template: BlockTemplate | None = None
+    advert_in: dict[tuple[Address, Hash], tuple[float, float]] = field(default_factory=dict)
+    pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = field(default_factory=dict)
+    req_map: dict[Hash, tuple[Address, Hash]] = field(default_factory=dict)
 
 
 def node_address(nid: int) -> Address:
@@ -559,6 +544,7 @@ class _Sim:
         ]
         self.arrivals_rng = random.Random(f"{sc.seed}/arrivals")
 
+        warm_store = {txid(tx): tx for tx in self.warm_txs}
         rates = sc.hash_rates()
         self.nodes: list[_Node] = []
         for nid in range(sc.node_count):
@@ -572,8 +558,8 @@ class _Sim:
                 mines=self.strategy is RelayStrategy.ADVERT_PROTOCOL,
             )
             node = _Node(nid, proto, rates[nid], random.Random(f"{sc.seed}/mining/{nid}"))
+            node.tx_store.update(warm_store)
             for tx in self.warm_txs:
-                node.tx_store.insert_unchecked(tx)
                 node.proto.mempool.insert_unchecked(tx)
             self.nodes.append(node)
 
@@ -664,11 +650,15 @@ class _Sim:
         if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
             advert = make_advert(node.proto.address, GENESIS_HASH, node.proto.mempool, self.policy)
             node.proto.registry.register(advert)
-            oid = gossip_dedup_key(advert).short()
-            node.seen.add(oid)
-            size = serialized_size(advert)
-            self._flood(node, advert, "advert", oid, None, float(size), size)
+            self._announce(node, advert)
         self._restart_mining(node, advert)
+
+    def _announce(self, node: _Node, advert: Advert) -> None:
+        """Flood a node's own advert to all its neighbours."""
+        oid = gossip_dedup_key(advert).short()
+        node.seen.add(oid)
+        size = serialized_size(advert)
+        self._flood(node, advert, "advert", oid, None, float(size), size)
 
     def _restart_mining(self, node: _Node, advert: Advert | None) -> None:
         node.session += 1
@@ -743,20 +733,15 @@ class _Sim:
                 float(height),
             )
         )
-        if self.strategy is RelayStrategy.LATE_ADVERT:
-            assert advert is not None
-            a_oid = gossip_dedup_key(advert).short()
-            node.seen.add(a_oid)
-            a_size = serialized_size(advert)
-            self._flood(node, advert, "advert", a_oid, None, float(a_size), a_size)
+        if advert is not None:
+            self._announce(node, advert)  # LATE: back to back with the seed
         if self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
-            node.seen.add(bh.short())
-            self._flood(node, block, "block", bh.short(), None, float(block_size), block_size)
+            msg, family, size = block, "block", block_size
         else:
-            seed = make_block_seed(block)
-            node.seen.add(bh.short())
-            seed_size = serialized_size(seed)
-            self._flood(node, seed, "seed", bh.short(), None, float(seed_size), seed_size)
+            msg = make_block_seed(block)
+            family, size = "seed", serialized_size(msg)
+        node.seen.add(bh.short())
+        self._flood(node, msg, family, bh.short(), None, float(size), size)
         self._accept(node, block, 0.0)
 
     def _on_tx_arrival(self) -> None:
@@ -773,7 +758,7 @@ class _Sim:
         )
         oid = gossip_dedup_key(tx).short()
         origin.seen.add(oid)
-        origin.tx_store.insert_unchecked(tx)
+        origin.tx_store[h] = tx
         origin.proto.mempool.add(tx, origin.proto.chain.utxo)
         self._flood(origin, tx, "tx", oid, None, 0.0, serialized_size(tx))
         self._retry_pending_for_tx(origin, h)
@@ -785,41 +770,27 @@ class _Sim:
         )
         node = self.nodes[d.dst]
         family = d.family
-        if family == "tx":
-            if d.oid in node.seen:
-                return
-            node.seen.add(d.oid)
-            self._ingest_tx(node, d.msg)
-            self._flood(node, d.msg, "tx", d.oid, d.src, 0.0, d.size)
-        elif family == "advert":
-            if d.oid in node.seen:
-                return
-            node.seen.add(d.oid)
-            self._handle_advert(node, d)
-            self._flood(node, d.msg, "advert", d.oid, d.src, d.cpb + d.size, d.size)
-        elif family == "seed":
-            if d.oid in node.seen:
-                return
-            node.seen.add(d.oid)
-            self._handle_seed(node, d.msg, d.src, d.cpb)
-        elif family == "block":
-            if d.oid in node.seen:
-                return
-            node.seen.add(d.oid)
-            self._handle_full_block(node, d.msg, d.src, d.cpb)
-        elif family == "txreq":
+        if family == "txreq":
             self._handle_tx_request(node, d)
         elif family == "txresp":
             self._handle_tx_response(node, d.msg)
+        elif d.oid not in node.seen:  # gossip: only a node's first copy is handled
+            node.seen.add(d.oid)
+            if family == "tx":
+                self._ingest_tx(node, d.msg)
+                self._flood(node, d.msg, "tx", d.oid, d.src, 0.0, d.size)
+            elif family == "advert":
+                self._handle_advert(node, d)
+                self._flood(node, d.msg, "advert", d.oid, d.src, d.cpb + d.size, d.size)
+            else:
+                self._handle_relayed_block(node, d)
 
-    def _ingest_tx(self, node: _Node, tx: Transaction) -> bool:
+    def _ingest_tx(self, node: _Node, tx: Transaction) -> None:
         h = txid(tx)
-        fresh = h not in node.tx_store
-        if fresh:
-            node.tx_store.insert_unchecked(tx)
+        if h not in node.tx_store:
+            node.tx_store[h] = tx
             node.proto.mempool.add(tx, node.proto.chain.utxo)
             self._retry_pending_for_tx(node, h)
-        return fresh
 
     def _handle_advert(self, node: _Node, d: _Delivery) -> None:
         advert: Advert = d.msg
@@ -833,17 +804,21 @@ class _Sim:
             if missing:
                 self._request_txs(node, missing, d.src, key)
         for pend in list(node.pending.values()):
-            if (pend.seed.coinbase_address, pend.seed.header.prev_block_hash) == key:
+            if (pend.msg.coinbase.coinbase_address, pend.msg.header.prev_block_hash) == key:
                 # the seed sender already validated the block; pull stragglers from it
                 self._try_seed(node, pend, request_from=pend.src)
 
-    def _handle_seed(self, node: _Node, seed: BlockSeed, src: int, cpb: float) -> None:
-        bh = header_hash(seed.header)
-        if bh in node.accepted:
+    def _handle_relayed_block(self, node: _Node, d: _Delivery) -> None:
+        msg = d.msg
+        bh = header_hash(msg.header)
+        chain = node.proto.chain
+        if chain.knows(bh):
             return
-        pend = _PendingSeed(seed, src, cpb, bh)
-        self._add_pending(node, pend)
-        self._try_seed(node, pend, request_from=src)
+        pend = _PendingSeed(msg, d.src, d.cpb, d.size, bh)
+        # a seed parks before its first try; a full block only while its parent is unknown
+        if type(msg) is BlockSeed or not chain.knows(msg.header.prev_block_hash):
+            self._add_pending(node, pend)
+        self._try_seed(node, pend, request_from=d.src)
 
     def _add_pending(self, node: _Node, pend: _PendingSeed) -> None:
         if len(node.pending) >= self.sc.pending_seed_buffer:
@@ -851,46 +826,35 @@ class _Sim:
         node.pending[pend.block_h] = pend
 
     def _try_seed(self, node: _Node, pend: _PendingSeed, request_from: int | None = None) -> None:
-        """Advance a pending seed (or parked full block) as far as knowledge allows."""
+        """Validate, accept and forward a relayed seed or full block as far as knowledge allows."""
         proto = node.proto
-        if pend.full_block is not None:
-            verdict = validate_block_baseline(pend.full_block, proto.chain)
-            if verdict.reason is Reason.WRONG_PREV_HASH:
-                return
-            node.pending.pop(pend.block_h, None)
-            if not verdict.accepted:
-                return
-            self._accept(node, pend.full_block, pend.cpb)
-            size = serialized_size(pend.full_block)
-            self._flood(node, pend.full_block, "block", pend.block_h.short(), pend.src, pend.cpb + size, size)
-            return
-        seed = pend.seed
-        advert = proto.registry.lookup(seed.coinbase_address, seed.header.prev_block_hash)
-        if advert is None:
-            pend.missing = frozenset()
-            return  # still waiting for the advert
-        missing = missing_txs(advert, node.tx_store)
-        pend.missing = frozenset(missing)
-        if missing:
-            if request_from is not None:
-                # the seed sender validated the block, so it has every tx
-                self._request_txs(node, missing, request_from, advert.key(), force=True)
-            return
-        rec = reconstruct_block(seed, proto.registry, node.tx_store)
-        assert rec.ok, rec.reason
-        block = rec.block
-        verdict = validate_block(block, proto.registry, proto.chain)
+        msg = pend.msg
+        if type(msg) is Block:
+            block, family = msg, "block"
+            verdict = validate_block_baseline(block, proto.chain)
+        else:
+            key = (msg.coinbase_address, msg.header.prev_block_hash)
+            rec = reconstruct_block(msg, proto.registry, node.tx_store)
+            pend.missing = frozenset(rec.missing)
+            if not rec.ok:
+                if rec.missing and request_from is not None:
+                    # the seed sender validated the block, so it has every tx
+                    self._request_txs(node, rec.missing, request_from, key, force=True)
+                return  # still waiting for the advert or transactions
+            block, family = rec.block, "seed"
+            verdict = validate_block(block, proto.registry, proto.chain)
         if verdict.reason is Reason.WRONG_PREV_HASH:
             return  # parent still in flight; retried on the next acceptance
         node.pending.pop(pend.block_h, None)
         if not verdict.accepted:
             return
-        pb = pend.cpb + self._post_find_extras(node, advert.key(), pend.block_h)
+        pb = pend.cpb
+        if family == "seed":
+            pb += self._post_find_extras(node, key, pend.block_h)
         self._accept(node, block, pb)
-        # the forwarded seed carries only seed-family path bytes; advert and
+        # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
-        size = serialized_size(seed)
-        self._flood(node, seed, "seed", pend.block_h.short(), pend.src, pend.cpb + size, size)
+        self._flood(node, msg, family, pend.block_h.short(), pend.src, pend.cpb + pend.size, pend.size)
 
     def _post_find_extras(self, node: _Node, key, bh: Hash) -> float:
         """Advert and pull bytes that had to move after the block was found."""
@@ -904,25 +868,10 @@ class _Sim:
                 extra += size
         return extra
 
-    def _handle_full_block(self, node: _Node, block: Block, src: int, cpb: float) -> None:
-        bh = block_hash(block)
-        if bh in node.accepted:
-            return
-        verdict = validate_block_baseline(block, node.proto.chain)
-        if verdict.reason is Reason.WRONG_PREV_HASH:
-            self._add_pending(node, _PendingSeed(make_block_seed(block), src, cpb, bh, full_block=block))
-            return
-        if not verdict.accepted:
-            return
-        self._accept(node, block, cpb)
-        size = serialized_size(block)
-        self._flood(node, block, "block", bh.short(), src, cpb + size, size)
-
     def _handle_tx_request(self, node: _Node, d: _Delivery) -> None:
         req: TxRequest = d.msg
-        have = tuple(
-            node.tx_store.txs[h] for h in req.hashes if h in node.tx_store
-        )
+        store = node.tx_store
+        have = tuple(store[h] for h in req.hashes if h in store)
         if have:
             resp = TxResponse(have)
             self._send(node.nid, d.src, resp, "txresp", "", 0.0, serialized_size(resp))
@@ -959,14 +908,11 @@ class _Sim:
 
     def _accept(self, node: _Node, block: Block, pb: float) -> None:
         bh = block_hash(block)
-        node.accepted.add(bh)
-        node.accept_pb[bh] = pb
         self.log.records.append(
             LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, bh.short(), "", pb)
         )
         for tx in block.transactions:
-            if txid(tx) not in node.tx_store:
-                node.tx_store.insert_unchecked(tx)
+            node.tx_store.setdefault(txid(tx), tx)
         proto = node.proto
         pre_tip = proto.chain.tip_hash
         next_advert = on_block_accepted(proto, block)
@@ -986,12 +932,9 @@ class _Sim:
                 )
             )
             if next_advert is not None:
-                oid = gossip_dedup_key(next_advert).short()
-                node.seen.add(oid)
-                size = serialized_size(next_advert)
-                self._flood(node, next_advert, "advert", oid, None, float(size), size)
+                self._announce(node, next_advert)
             self._restart_mining(node, next_advert)
         # a newly known block may unblock seeds waiting on their parent
         for pend in list(node.pending.values()):
-            if pend.seed.header.prev_block_hash == bh:
+            if pend.msg.header.prev_block_hash == bh:
                 self._try_seed(node, pend)

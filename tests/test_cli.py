@@ -163,6 +163,19 @@ class TestSweepAndCompare:
         assert meta["sweep_field"] == "tx_rate"
         assert meta["values"] == [1.0, 2.0, 4.0]
 
+    def test_sweep_parses_by_field_type_not_written_value(self, tmp_path):
+        # "tx_rate": 2 is written as an integer, but tx_rate is a float field
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({**TINY, "tx_rate": 2}))
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", str(path), "--out", str(out), "--sweep", "tx_rate=1.5,3"]
+        assert main(argv) == EXIT_OK
+        root = out / "tiny-sweep-tx_rate"
+        meta = json.loads((root / "sweep.json").read_text())
+        assert meta["values"] == [1.5, 3.0]
+        resolved = json.loads((root / "tx_rate=1.5" / "scenario.resolved.json").read_text())
+        assert resolved["tx_rate"] == 1.5
+
     def test_sweep_type_checks_values(self, tiny_scenario, tmp_path):
         code = main(
             [
@@ -247,23 +260,42 @@ class TestValidateAndExitCodes:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
         assert "tx_rate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [3.0, True], ids=["float", "bool"])
     @pytest.mark.parametrize(
-        "field",
+        "field, value, message",
         [
-            "node_count",
-            "difficulty_bits",
-            "pow_proof_bits",
-            "tx_size_bytes",
-            "coinbase_size_bytes",
-            "initial_mempool_txs",
-            "block_size_cap_bytes",
-            "pending_seed_buffer",
-            "block_reward",
+            pytest.param(field, value, "must be an integer", id=f"{field}-{kind}")
+            for field in (
+                "node_count",
+                "difficulty_bits",
+                "pow_proof_bits",
+                "tx_size_bytes",
+                "coinbase_size_bytes",
+                "initial_mempool_txs",
+                "block_size_cap_bytes",
+                "pending_seed_buffer",
+                "block_reward",
+            )
+            for kind, value in (("float", 3.0), ("bool", True))
+        ]
+        + [
+            pytest.param(field, value, "must be a finite number", id=f"{field}-{kind}")
+            for field in ("tx_rate", "horizon_seconds", "processing_delay_seconds")
+            for kind, value in (("str", "10"), ("bool", True), ("null", None), ("inf", float("inf")))
+        ]
+        + [
+            pytest.param("hash_rate", value, "must be a finite number or a list of them", id=f"hash_rate-{kind}")
+            for kind, value in (
+                ("str", "10"),
+                ("bool", True),
+                ("nan", float("nan")),
+                ("list-str", [5.0, "5", 5.0]),
+                ("list-bool", [5.0, 5.0, True]),
+            )
         ],
     )
-    def test_non_integer_field_exit_2(self, field, value, tmp_path, capsys):
-        # each value is in range for its field, so only the type check rejects it
+    def test_non_integer_field_exit_2(self, field, value, message, tmp_path, capsys):
+        # each value is in range for its field or not comparable at all, so only
+        # the type check can reject it by name
         data = {**TINY, field: value}
         with pytest.raises(ScenarioError) as exc:
             Scenario.from_dict(data)
@@ -271,7 +303,7 @@ class TestValidateAndExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
-        assert f"{field}: must be an integer" in capsys.readouterr().err
+        assert f"{field}: {message}" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert (

@@ -1,10 +1,12 @@
-"""Pinned sha256 digests of the metric outputs of ``advertsim compare``.
+"""Pinned sha256 digests of the outputs of ``advertsim compare``.
 
-``summary.json``, ``blocks.csv`` and ``comparison.json`` are pure functions
-of the event logs, whose own digests ``perfbench/golden.json`` pins. These
-pin the metric files byte for byte, for every strategy, so that a change to
-the metrics code that moves any printed number fails here. Only a change
-that alters the simulated behaviour or a metric on purpose re-pins them.
+Each strategy's ``events.ndjson`` is pinned, so that a simulator change
+that moves any log line fails here; the 30 s forky case is the one that
+parks full blocks and evicts parked seeds. ``summary.json``, ``blocks.csv``
+and ``comparison.json`` are pure functions of the event logs; pinning them
+byte for byte makes a change to the metrics code that moves any printed
+number fail here too. Only a change that alters the simulated behaviour or
+a metric on purpose re-pins them.
 """
 
 import hashlib
@@ -33,6 +35,9 @@ CASES = {
             "ADVERT_PROTOCOL/blocks.csv": "6b8fb3c79f141d5a9d5df17fd5f603b9a59c2d427991b2bbe0dbbbc31f2a428b",
             "LATE_ADVERT/summary.json": "af7d5117981e633d6ecf436b8d37325e4cc57810c4298b5676d19b0cab6e8346",
             "LATE_ADVERT/blocks.csv": "b659cfed14d0372b88ad27817e8e10126c6ead4325ea68c6fbb4e434e95b5097",
+            "BASELINE_FULL_BLOCK/events.ndjson": "1eb891dba7147350b190e64bba6d122f61509b9588dfbfca84be1adeed088cac",
+            "ADVERT_PROTOCOL/events.ndjson": "df39c1b86e0b8d089940b5c0d338abdd8c82545a8dc0e66e02daa16f452f1f7a",
+            "LATE_ADVERT/events.ndjson": "62f1deac027dc38b0632fc0edb7233f0a70a4ada55e7a67e3164e5ede05b13a6",
         },
     ),
     # the benchmark's forky-cold workload (a file the tests only read), cut to 30 s
@@ -48,6 +53,9 @@ CASES = {
             "ADVERT_PROTOCOL/blocks.csv": "3ac5c0b2f3dd9e34a352c66b664a7a0ca2d04338dc629698153174066a3df445",
             "LATE_ADVERT/summary.json": "ae5ef660e33705e56d1a827998457ac67486a44d1475d13148950bf534aa4a74",
             "LATE_ADVERT/blocks.csv": "574f7d5c74ea9f263d4949b1487fab794be7d5875f5f14a2fd5d37837c074248",
+            "BASELINE_FULL_BLOCK/events.ndjson": "ef932c2c3fece834ff7396ece2652199d5e5981d8f2eb54957fbf1146896faad",
+            "ADVERT_PROTOCOL/events.ndjson": "1c36f6cdaec58cb1c0fadfad69b32195632345051b9366dc34261a756a719aa7",
+            "LATE_ADVERT/events.ndjson": "54cb7189aaa445759b5a205778ab0351cc948bc67efb53deea15ed4623b0f06b",
         },
     ),
 }
