@@ -24,7 +24,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .metrics import write_block_csv, write_summary_json
+from .metrics import _write_json, _write_run_outputs
 from .simnet import RelayStrategy, Scenario, ScenarioError, run_scenario
 
 EXIT_OK = 0
@@ -73,13 +73,10 @@ def _execute(sc: Scenario, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     marker = outdir / "INCOMPLETE"
     marker.write_text("run in progress or aborted\n", encoding="utf-8")
-    with open(outdir / "scenario.resolved.json", "w", encoding="utf-8") as f:
-        json.dump(sc.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(outdir / "scenario.resolved.json", sc.to_dict())
     log = run_scenario(sc)
     log_sha256 = log.write(outdir / "events.ndjson")
-    write_block_csv(log, outdir / "blocks.csv")
-    summary = write_summary_json(log, outdir / "summary.json")
+    summary = _write_run_outputs(log, outdir / "blocks.csv", outdir / "summary.json")
     marker.unlink()
     summary["log_sha256"] = log_sha256
     return summary
@@ -138,17 +135,15 @@ def _cmd_sweep(args) -> int:
     root = _out_root(args) / f"{base.name}-sweep-{key}"
     entries = []
     for v in values:
-        sc = Scenario.from_dict({**base.to_dict(), key: v.value if isinstance(v, RelayStrategy) else v})
         tag = v.value if isinstance(v, RelayStrategy) else v
+        sc = Scenario.from_dict({**base.to_dict(), key: tag})
         outdir = root / f"{key}={tag}"
         summary = _execute(sc, outdir)
         entries.append({"value": tag, "dir": str(outdir), "summary": summary})
         print(f"sweep {key}={tag}: blocks={summary['blocks_found']} "
               f"mean_latency={summary['propagation']['mean']}")
     meta = {"sweep_field": key, "values": [e["value"] for e in entries], "runs": entries}
-    with open(root / "sweep.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(root / "sweep.json", meta)
     print(f"sweep complete: {root}")
     return EXIT_OK
 
@@ -178,9 +173,7 @@ def _cmd_compare(args) -> int:
             for name, s in per_strategy.items()
         },
     }
-    with open(root / "comparison.json", "w", encoding="utf-8") as f:
-        json.dump(comparison, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(root / "comparison.json", comparison)
     print(f"comparison written: {root / 'comparison.json'}")
     return EXIT_OK
 
@@ -188,9 +181,8 @@ def _cmd_compare(args) -> int:
 def _cmd_validate(args) -> int:
     sc = load_scenario(args.scenario)
     print(f"scenario ok: {sc.name} ({sc.node_count} nodes, {sc.relay_strategy.value})")
-    resolved = json.dumps(sc.to_dict(), indent=2, sort_keys=True)
     if args.print_resolved:
-        print(resolved)
+        print(json.dumps(sc.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -296,12 +296,15 @@ def size_report(log: EventLog) -> SizeStats:
 def summarize(log: EventLog) -> dict:
     """The versioned JSON summary document for one run."""
     ix = _LogIndex(log)
-    prop = _propagation(ix)
+    return _summary(ix, _propagation(ix))
+
+
+def _summary(ix: _LogIndex, prop: PropagationStats) -> dict:
     waste = _waste(ix)
     sizes = ix.sizes
     return {
         "schema": 1,
-        "scenario": log.meta["scenario"],
+        "scenario": ix.meta["scenario"],
         "blocks_found": len(ix.blocks),
         "best_chain_length": len(ix.best),
         "stale_rate": _stale_rate(ix),
@@ -328,7 +331,10 @@ def summarize(log: EventLog) -> dict:
 def write_block_csv(log: EventLog, path) -> None:
     """One row per found block; column schema in BLOCK_CSV_COLUMNS."""
     ix = _LogIndex(log)
-    prop = _propagation(ix)
+    _write_block_csv(ix, _propagation(ix), path)
+
+
+def _write_block_csv(ix: _LogIndex, prop: PropagationStats, path) -> None:
     crit = ix.sizes.critical_path_bytes
     best = set(ix.best)
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -355,7 +361,22 @@ def write_block_csv(log: EventLog, path) -> None:
 def write_summary_json(log: EventLog, path) -> dict:
     """Write ``summarize(log)`` to ``path`` as JSON and return it."""
     summary = summarize(log)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, summary)
     return summary
+
+
+def _write_run_outputs(log: EventLog, csv_path, summary_path) -> dict:
+    """``write_block_csv`` and ``write_summary_json`` from one log index; returns the summary."""
+    ix = _LogIndex(log)
+    prop = _propagation(ix)
+    _write_block_csv(ix, prop, csv_path)
+    summary = _summary(ix, prop)
+    _write_json(summary_path, summary)
+    return summary
+
+
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")

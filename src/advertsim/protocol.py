@@ -283,7 +283,6 @@ class ChainState:
         self.known_blocks: dict[Hash, Block | None] = {self.genesis_hash: None}
         self.heights: dict[Hash, int] = {self.genesis_hash: 0}
         self.utxo: dict[Outpoint, tuple[Address, int]] = dict(genesis_utxo)
-        self._parents: dict[Hash, Hash] = {}
         # undo per applied block: (spent entries, created outpoints)
         self._undo: dict[Hash, tuple[tuple[tuple[Outpoint, tuple[Address, int]], ...], tuple[Outpoint, ...]]] = {}
 
@@ -315,24 +314,23 @@ class ChainState:
         return UtxoView(self.utxo, overrides)
 
     def _paths_between(self, frm: Hash, to: Hash) -> tuple[list[Hash], list[Hash]]:
-        """Blocks to unapply from ``frm`` and apply toward ``to`` (fork walk)."""
-        a_chain: dict[Hash, None] = {}
-        h = frm
-        while h != self.genesis_hash:
-            a_chain[h] = None
-            h = self._parents[h]
-        a_chain[self.genesis_hash] = None
-        forward = []
-        h = to
-        while h not in a_chain:
-            forward.append(h)
-            h = self._parents[h]
-        lca = h
-        back = []
-        h = frm
-        while h != lca:
-            back.append(h)
-            h = self._parents[h]
+        """Blocks to unapply from ``frm`` and apply toward ``to``: both ends step
+        down by height to the fork point, reading each parent from its header."""
+        blocks, heights = self.known_blocks, self.heights
+        back: list[Hash] = []
+        forward: list[Hash] = []
+        a, b = frm, to
+        for _ in range(heights[a] - heights[b]):
+            back.append(a)
+            a = blocks[a].header.prev_block_hash
+        for _ in range(heights[b] - heights[a]):
+            forward.append(b)
+            b = blocks[b].header.prev_block_hash
+        while a != b:
+            back.append(a)
+            a = blocks[a].header.prev_block_hash
+            forward.append(b)
+            b = blocks[b].header.prev_block_hash
         forward.reverse()
         return back, forward
 
@@ -353,7 +351,6 @@ class ChainState:
         height = self.heights[parent] + 1
         self.known_blocks[h] = block
         self.heights[h] = height
-        self._parents[h] = parent
 
         if parent == self.tip_hash:
             self._apply(block, h)

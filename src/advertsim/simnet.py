@@ -157,6 +157,10 @@ def _finite_number(v) -> bool:
     return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
 
 
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class Scenario:
     """Declarative experiment description. Unset fields take the defaults below."""
@@ -218,8 +222,7 @@ class Scenario:
 
     def validate(self) -> None:
         for name in _INT_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _int(getattr(self, name)):
                 raise ScenarioError(name, "must be an integer")
         for name in _FLOAT_FIELDS:
             if not _finite_number(getattr(self, name)):
@@ -256,6 +259,10 @@ class Scenario:
             raise ScenarioError("pending_seed_buffer", "must be >= 1")
         if self.block_reward < 0:
             raise ScenarioError("block_reward", "must be >= 0")
+        # run, sweep and compare join the name into an output path
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ScenarioError("name", "must be a non-empty string that is one path component")
         _validate_dist("link_latency", self.link_latency, allow_zero=True)
         _validate_dist("link_bandwidth", self.link_bandwidth, allow_zero=False)
         # raises ScenarioError on malformed or disconnected topologies
@@ -268,14 +275,14 @@ def _validate_dist(field_name: str, spec, allow_zero: bool) -> None:
     kind = spec["kind"]
     if kind == "constant":
         v = spec.get("value")
-        if not isinstance(v, (int, float)):
-            raise ScenarioError(field_name, "constant distribution needs a numeric 'value'")
+        if not _finite_number(v):
+            raise ScenarioError(field_name, "constant distribution needs a finite numeric 'value'")
         if v < 0 or (not allow_zero and v <= 0):
             raise ScenarioError(field_name, "value must be positive" if not allow_zero else "value must be >= 0")
     elif kind == "uniform":
         low, high = spec.get("low"), spec.get("high")
-        if not isinstance(low, (int, float)) or not isinstance(high, (int, float)):
-            raise ScenarioError(field_name, "uniform distribution needs numeric 'low' and 'high'")
+        if not _finite_number(low) or not _finite_number(high):
+            raise ScenarioError(field_name, "uniform distribution needs finite numeric 'low' and 'high'")
         if low > high:
             raise ScenarioError(field_name, "low must be <= high")
         if low < 0 or (not allow_zero and low <= 0):
@@ -306,7 +313,7 @@ def build_topology(spec: dict, n: int, rng: random.Random) -> list[tuple[int, in
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif kind == "random_regular":
         degree = spec.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if not _int(degree) or degree < 1:
             raise ScenarioError("topology", "random_regular needs an integer 'degree' >= 1")
         if degree >= n - 1:
             # a d-regular graph on n <= d+1 nodes is the complete graph
@@ -322,7 +329,9 @@ def build_topology(spec: dict, n: int, rng: random.Random) -> list[tuple[int, in
         seen = set()
         edges = []
         for e in raw:
-            a, b = int(e[0]), int(e[1])
+            if not isinstance(e, (list, tuple)) or len(e) != 2 or not all(_int(v) for v in e):
+                raise ScenarioError("topology", f"each edge must be a pair of integer node ids: {e!r}")
+            a, b = e
             if a == b:
                 raise ScenarioError("topology", "self-links are not allowed")
             if not (0 <= a < n and 0 <= b < n):
@@ -459,30 +468,20 @@ class EventLog:
         return log
 
 
-class _Delivery(NamedTuple):
-    src: int
-    dst: int
-    msg: object
-    family: str
-    oid: str
-    mid: int
-    cpb: float  # cumulative relay bytes along the path, delivery included
-    size: int  # modelled wire size of msg
-
-
 @dataclass(slots=True, eq=False)
 class _PendingSeed:
     """A relayed seed or full block on its way to acceptance; retried as prerequisites arrive.
 
+    ``sent`` is the ``send`` record it arrived under: sender, family, size,
+    id and path bytes. ``key`` is its advert's (coinbase address, parent).
     ``missing`` holds the advertised transactions a seed lacked at its
     last try; it is empty while the seed waits for its advert or parent.
     """
 
     msg: BlockSeed | Block  # as relayed
-    src: int
-    cpb: float
-    size: int  # modelled wire size of msg
+    sent: LogRecord
     block_h: Hash
+    key: tuple[Address, Hash]
     missing: frozenset[Hash] = frozenset()
 
 
@@ -498,7 +497,8 @@ class _Node:
     pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
     session: int = 0
     template: BlockTemplate | None = None
-    advert_in: dict[tuple[Address, Hash], tuple[float, float]] = field(default_factory=dict)
+    # per advert key, (time, bytes) of the advert's first arrival, then of each
+    # pull made for it: the bytes that may count as post-find on the critical path
     pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = field(default_factory=dict)
     req_map: dict[Hash, tuple[Address, Hash]] = field(default_factory=dict)
 
@@ -610,12 +610,11 @@ class _Sim:
         """Send ``msg``; ``size`` is its modelled size, computed once where the message was made."""
         self.mid += 1
         t_send = self.now + self.proc
-        self.log.records.append(
-            LogRecord(t_send, "send", src, dst, family, size, self.mid, oid, "", cpb)
-        )
+        sent = LogRecord(t_send, "send", src, dst, family, size, self.mid, oid, "", cpb)
+        self.log.records.append(sent)
         key = (src, dst) if src < dst else (dst, src)
         arrival = t_send + self.links[key].delay(size)
-        self._schedule(arrival, "deliver", _Delivery(src, dst, msg, family, oid, self.mid, cpb, size))
+        self._schedule(arrival, "deliver", (sent, msg))
 
     def _flood(
         self, node: _Node, msg, family: str, oid: str, exclude: int | None, cpb: float, size: int
@@ -638,7 +637,7 @@ class _Sim:
             t, _, kind, payload = heapq.heappop(heap)
             self.now = t
             if kind == "deliver":
-                self._on_deliver(payload)
+                self._on_deliver(*payload)
             elif kind == "found":
                 self._on_found(*payload)
             else:
@@ -715,6 +714,7 @@ class _Sim:
         block = mine(template, _SIM_POW_BUDGET)
         assert block is not None, "simulation proof target missed its budget"
         bh = block_hash(block)
+        oid = bh.short()
         parent = block.header.prev_block_hash
         height = node.proto.chain.heights[parent] + 1
         self.find_time[bh] = self.now
@@ -728,7 +728,7 @@ class _Sim:
                 "",
                 block_size,
                 len(block.transactions),
-                bh.short(),
+                oid,
                 parent.short(),
                 float(height),
             )
@@ -740,9 +740,9 @@ class _Sim:
         else:
             msg = make_block_seed(block)
             family, size = "seed", serialized_size(msg)
-        node.seen.add(bh.short())
-        self._flood(node, msg, family, bh.short(), None, float(size), size)
-        self._accept(node, block, 0.0)
+        node.seen.add(oid)
+        self._flood(node, msg, family, oid, None, float(size), size)
+        self._accept(node, block, bh, 0.0)
 
     def _on_tx_arrival(self) -> None:
         sc = self.sc
@@ -756,34 +756,28 @@ class _Sim:
         self.log.records.append(
             LogRecord(self.now, "tx_arrival", origin.nid, -1, "", tx.nominal_size_bytes, -1, h.short(), "", 0.0)
         )
-        oid = gossip_dedup_key(tx).short()
-        origin.seen.add(oid)
-        origin.tx_store[h] = tx
-        origin.proto.mempool.add(tx, origin.proto.chain.utxo)
-        self._flood(origin, tx, "tx", oid, None, 0.0, serialized_size(tx))
-        self._retry_pending_for_tx(origin, h)
+        self._relay_new_tx(origin, tx)
         self._schedule(self.now + rng.expovariate(sc.tx_rate), "tx_arrival", None)
 
-    def _on_deliver(self, d: _Delivery) -> None:
-        self.log.records.append(
-            LogRecord(self.now, "deliver", d.src, d.dst, d.family, d.size, d.mid, d.oid, "", d.cpb)
-        )
-        node = self.nodes[d.dst]
-        family = d.family
+    def _on_deliver(self, sent: LogRecord, msg) -> None:
+        """Log the delivery of ``msg`` and handle it; ``sent`` is its ``send`` record."""
+        self.log.records.append(LogRecord(self.now, "deliver", *sent[2:]))
+        node = self.nodes[sent.dst]
+        family, oid = sent.msg, sent.oid
         if family == "txreq":
-            self._handle_tx_request(node, d)
+            self._handle_tx_request(node, msg, sent.src)
         elif family == "txresp":
-            self._handle_tx_response(node, d.msg)
-        elif d.oid not in node.seen:  # gossip: only a node's first copy is handled
-            node.seen.add(d.oid)
+            self._handle_tx_response(node, msg)
+        elif oid not in node.seen:  # gossip: only a node's first copy is handled
+            node.seen.add(oid)
             if family == "tx":
-                self._ingest_tx(node, d.msg)
-                self._flood(node, d.msg, "tx", d.oid, d.src, 0.0, d.size)
+                self._ingest_tx(node, msg)
+                self._flood(node, msg, "tx", oid, sent.src, 0.0, sent.size)
             elif family == "advert":
-                self._handle_advert(node, d)
-                self._flood(node, d.msg, "advert", d.oid, d.src, d.cpb + d.size, d.size)
+                self._handle_advert(node, msg, sent)
+                self._flood(node, msg, "advert", oid, sent.src, sent.val + sent.size, sent.size)
             else:
-                self._handle_relayed_block(node, d)
+                self._handle_relayed_block(node, msg, sent)
 
     def _ingest_tx(self, node: _Node, tx: Transaction) -> None:
         h = txid(tx)
@@ -792,33 +786,37 @@ class _Sim:
             node.proto.mempool.add(tx, node.proto.chain.utxo)
             self._retry_pending_for_tx(node, h)
 
-    def _handle_advert(self, node: _Node, d: _Delivery) -> None:
-        advert: Advert = d.msg
+    def _relay_new_tx(self, node: _Node, tx: Transaction) -> None:
+        """Ingest and flood a faucet arrival or a pulled transaction new to ``node``
+        (a faucet arrival retries no seed: no advert can name it yet)."""
+        oid = gossip_dedup_key(tx).short()
+        node.seen.add(oid)
+        self._ingest_tx(node, tx)
+        self._flood(node, tx, "tx", oid, None, 0.0, serialized_size(tx))
+
+    def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
         node.proto.registry.register(advert)  # first arrival wins
-        if key not in node.advert_in:
-            node.advert_in[key] = (self.now, d.cpb)
-        registered = node.proto.registry.lookup(*key)
-        if registered is advert:
+        node.pull_log.setdefault(key, [(self.now, sent.val)])
+        if node.proto.registry.lookup(*key) is advert:
             missing = missing_txs(advert, node.tx_store)
             if missing:
-                self._request_txs(node, missing, d.src, key)
-        for pend in list(node.pending.values()):
-            if (pend.msg.coinbase.coinbase_address, pend.msg.header.prev_block_hash) == key:
-                # the seed sender already validated the block; pull stragglers from it
-                self._try_seed(node, pend, request_from=pend.src)
+                self._request_txs(node, missing, sent.src, key)
+        for pend in [p for p in node.pending.values() if p.key == key]:
+            # the seed sender already validated the block; pull stragglers from it
+            self._try_seed(node, pend, request_from=pend.sent.src)
 
-    def _handle_relayed_block(self, node: _Node, d: _Delivery) -> None:
-        msg = d.msg
+    def _handle_relayed_block(self, node: _Node, msg: BlockSeed | Block, sent: LogRecord) -> None:
         bh = header_hash(msg.header)
         chain = node.proto.chain
         if chain.knows(bh):
             return
-        pend = _PendingSeed(msg, d.src, d.cpb, d.size, bh)
+        parent = msg.header.prev_block_hash
+        pend = _PendingSeed(msg, sent, bh, (msg.coinbase.coinbase_address, parent))
         # a seed parks before its first try; a full block only while its parent is unknown
-        if type(msg) is BlockSeed or not chain.knows(msg.header.prev_block_hash):
+        if type(msg) is BlockSeed or not chain.knows(parent):
             self._add_pending(node, pend)
-        self._try_seed(node, pend, request_from=d.src)
+        self._try_seed(node, pend, request_from=sent.src)
 
     def _add_pending(self, node: _Node, pend: _PendingSeed) -> None:
         if len(node.pending) >= self.sc.pending_seed_buffer:
@@ -829,64 +827,53 @@ class _Sim:
         """Validate, accept and forward a relayed seed or full block as far as knowledge allows."""
         proto = node.proto
         msg = pend.msg
+        sent = pend.sent
         if type(msg) is Block:
-            block, family = msg, "block"
+            block = msg
             verdict = validate_block_baseline(block, proto.chain)
         else:
-            key = (msg.coinbase_address, msg.header.prev_block_hash)
             rec = reconstruct_block(msg, proto.registry, node.tx_store)
             pend.missing = frozenset(rec.missing)
             if not rec.ok:
                 if rec.missing and request_from is not None:
                     # the seed sender validated the block, so it has every tx
-                    self._request_txs(node, rec.missing, request_from, key, force=True)
+                    self._request_txs(node, rec.missing, request_from, pend.key, force=True)
                 return  # still waiting for the advert or transactions
-            block, family = rec.block, "seed"
+            block = rec.block
             verdict = validate_block(block, proto.registry, proto.chain)
         if verdict.reason is Reason.WRONG_PREV_HASH:
             return  # parent still in flight; retried on the next acceptance
         node.pending.pop(pend.block_h, None)
         if not verdict.accepted:
             return
-        pb = pend.cpb
-        if family == "seed":
-            pb += self._post_find_extras(node, key, pend.block_h)
-        self._accept(node, block, pb)
+        pb = sent.val
+        if sent.msg == "seed":
+            pb += self._post_find_extras(node, pend)
+        self._accept(node, block, pend.block_h, pb)
         # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
-        self._flood(node, msg, family, pend.block_h.short(), pend.src, pend.cpb + pend.size, pend.size)
+        self._flood(node, msg, sent.msg, sent.oid, sent.src, sent.val + sent.size, sent.size)
 
-    def _post_find_extras(self, node: _Node, key, bh: Hash) -> float:
-        """Advert and pull bytes that had to move after the block was found."""
-        found = self.find_time[bh]
-        extra = 0.0
-        adv = node.advert_in.get(key)
-        if adv is not None and adv[0] >= found:
-            extra += adv[1]
-        for t, size in node.pull_log.get(key, ()):
-            if t >= found:
-                extra += size
-        return extra
+    def _post_find_extras(self, node: _Node, pend: _PendingSeed) -> float:
+        """Advert and pull bytes that had to move after the seed's block was found."""
+        found = self.find_time[pend.block_h]
+        return sum(size for t, size in node.pull_log.get(pend.key, ()) if t >= found)
 
-    def _handle_tx_request(self, node: _Node, d: _Delivery) -> None:
-        req: TxRequest = d.msg
+    def _handle_tx_request(self, node: _Node, req: TxRequest, requester: int) -> None:
         store = node.tx_store
         have = tuple(store[h] for h in req.hashes if h in store)
         if have:
             resp = TxResponse(have)
-            self._send(node.nid, d.src, resp, "txresp", "", 0.0, serialized_size(resp))
+            self._send(node.nid, requester, resp, "txresp", "", 0.0, serialized_size(resp))
 
     def _handle_tx_response(self, node: _Node, resp: TxResponse) -> None:
         for tx in resp.txs:
             h = txid(tx)
             key = node.req_map.pop(h, None)
             if key is not None:
-                node.pull_log.setdefault(key, []).append((self.now, float(tx.nominal_size_bytes)))
+                node.pull_log[key].append((self.now, float(tx.nominal_size_bytes)))
             if h not in node.tx_store:
-                oid = gossip_dedup_key(tx).short()
-                node.seen.add(oid)
-                self._ingest_tx(node, tx)
-                self._flood(node, tx, "tx", oid, None, 0.0, serialized_size(tx))
+                self._relay_new_tx(node, tx)
 
     def _request_txs(
         self, node: _Node, missing: list[Hash], target: int, key, force: bool = False
@@ -898,7 +885,8 @@ class _Sim:
         size = serialized_size(req)
         for h in outstanding:
             node.req_map[h] = key
-        node.pull_log.setdefault(key, []).append((self.now + self.proc, float(size)))
+        # the advert's arrival opened this ledger: a pull needs the registered advert
+        node.pull_log[key].append((self.now + self.proc, float(size)))
         self._send(node.nid, target, req, "txreq", "", 0.0, size)
 
     def _retry_pending_for_tx(self, node: _Node, h: Hash) -> None:
@@ -906,8 +894,7 @@ class _Sim:
         for pend in [p for p in node.pending.values() if h in p.missing]:
             self._try_seed(node, pend)
 
-    def _accept(self, node: _Node, block: Block, pb: float) -> None:
-        bh = block_hash(block)
+    def _accept(self, node: _Node, block: Block, bh: Hash, pb: float) -> None:
         self.log.records.append(
             LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, bh.short(), "", pb)
         )

@@ -291,6 +291,54 @@ class TestValidateAndExitCodes:
                 ("list-str", [5.0, "5", 5.0]),
                 ("list-bool", [5.0, 5.0, True]),
             )
+        ]
+        + [
+            # each list but the bad edge connects the three nodes
+            pytest.param(
+                "topology",
+                {"kind": "edges", "edges": edges},
+                "each edge must be a pair of integer node ids",
+                id=f"edges-{kind}",
+            )
+            for kind, edges in (
+                ("short", [[1, 2], [0]]),
+                ("not-a-list", [[1, 2], 0]),
+                ("str", [["0", "1"], [1, 2]]),
+                ("float", [[0.7, 1.2], [1, 2]]),
+                ("triple", [[0, 1, 2], [1, 2]]),
+                ("bool", [[False, True], [1, 2]]),
+            )
+        ]
+        + [
+            pytest.param(
+                "topology",
+                {"kind": "random_regular", "degree": True},
+                "random_regular needs an integer 'degree' >= 1",
+                id="degree-bool",
+            ),
+        ]
+        + [
+            pytest.param("name", value, "must be a non-empty string that is one path component", id=f"name-{kind}")
+            for kind, value in (
+                ("int", 5),
+                ("empty", ""),
+                ("slash", "a/b"),
+                ("backslash", "a\\b"),
+                ("dot", "."),
+                ("dotdot", ".."),
+            )
+        ]
+        + [
+            pytest.param(field, {"kind": "constant", "value": value},
+                         "constant distribution needs a finite numeric 'value'", id=f"{field}-constant-{kind}")
+            for field in ("link_latency", "link_bandwidth")
+            for kind, value in (("inf", float("inf")), ("nan", float("nan")), ("bool", True))
+        ]
+        + [
+            pytest.param(field, {"kind": "uniform", "low": low, "high": high},
+                         "uniform distribution needs finite numeric 'low' and 'high'", id=f"{field}-uniform-{kind}")
+            for field in ("link_latency", "link_bandwidth")
+            for kind, low, high in (("high-nan", 1, float("nan")), ("high-inf", 1, float("inf")), ("low-bool", True, 2))
         ],
     )
     def test_non_integer_field_exit_2(self, field, value, message, tmp_path, capsys):

@@ -5,8 +5,11 @@ that moves any log line fails here; the 30 s forky case is the one that
 parks full blocks and evicts parked seeds. ``summary.json``, ``blocks.csv``
 and ``comparison.json`` are pure functions of the event logs; pinning them
 byte for byte makes a change to the metrics code that moves any printed
-number fail here too. Only a change that alters the simulated behaviour or
-a metric on purpose re-pins them.
+number fail here too. The processing-delay case is the one where post-find
+pulls reach the critical path: a ``txreq`` is stamped at its send time (now
+plus the processing delay), which can fall after a find not yet processed,
+and slow links land many pulled transactions after the find. Only a change
+that alters the simulated behaviour or a metric on purpose re-pins them.
 """
 
 import hashlib
@@ -21,12 +24,12 @@ from advertsim.simnet import RelayStrategy
 REPO_ROOT = Path(__file__).resolve().parent.parent
 STRATEGIES = ",".join(s.value for s in RelayStrategy)
 
-# name: (scenario file, seed, horizon override, digests by output file)
+# name: (scenario file, seed, field overrides, digests by output file)
 CASES = {
     "demo": (
         REPO_ROOT / "scenarios" / "two_node_demo.json",
         42,
-        None,
+        {},
         {
             "comparison.json": "d4753513646ac33266d6ca1572dab24a31ca3695d809a17f5d25816fc4ad1049",
             "BASELINE_FULL_BLOCK/summary.json": "3cfa15c2c997e037bfe49f7e4bf04cf936b94668a83c07e8d6c7e23b8d511549",
@@ -44,7 +47,7 @@ CASES = {
     "forky-cold-30s": (
         REPO_ROOT / "perfbench" / "workloads" / "forky-cold.json",
         1,
-        30.0,
+        {"horizon_seconds": 30.0},
         {
             "comparison.json": "4f7a4ea4a37e2f05c288cc2ae9ddbfeafaa66aa47915b62a4e0b6bda1cf86450",
             "BASELINE_FULL_BLOCK/summary.json": "fec711263fba9f687c6c404ffe64f20775a239d1464ff632d2863f03c7ef020b",
@@ -58,15 +61,36 @@ CASES = {
             "LATE_ADVERT/events.ndjson": "54cb7189aaa445759b5a205778ab0351cc948bc67efb53deea15ed4623b0f06b",
         },
     ),
+    # the same workload with a processing delay and slow links, so that
+    # post-find pulls count toward the critical path
+    "forky-cold-30s-delay": (
+        REPO_ROOT / "perfbench" / "workloads" / "forky-cold.json",
+        1,
+        {
+            "horizon_seconds": 30.0,
+            "processing_delay_seconds": 0.01,
+            "link_bandwidth": {"kind": "constant", "value": 20_000},
+        },
+        {
+            "comparison.json": "d194429c0049d5a8dec9eb416f97d3e28bce4969a096010fbf0707ce923819e3",
+            "BASELINE_FULL_BLOCK/summary.json": "87b5fc901eab0b63677d39d9c492153471620041be35246f042ff47a121d3faa",
+            "BASELINE_FULL_BLOCK/blocks.csv": "e524330846d9fc2f222b03064f196c38eb1feffeb44ab9a86e7603944e1d3be0",
+            "ADVERT_PROTOCOL/summary.json": "42d38ea05786d4c3e5204a0e7c1f5df68f1295eb944092d38471d33c5f4eaa7e",
+            "ADVERT_PROTOCOL/blocks.csv": "e4d1c9bd2ad0cd55ecc20681d5d6208002655d82757650201226810de82eb634",
+            "LATE_ADVERT/summary.json": "4ba3ded8ba3407d43550a0b078d7821bf8a08e3ea0ba68b97b677c601e29942f",
+            "LATE_ADVERT/blocks.csv": "c70d33ba412f9e68a582d481c46d368b9e6b9d88ae0a58b4747741500c652502",
+            "BASELINE_FULL_BLOCK/events.ndjson": "a7df0753db3596eec078d10342ccca5d28267c42474c74796836ff2b3f3c05bf",
+            "ADVERT_PROTOCOL/events.ndjson": "862dcdb34d9abe7f7cb5c3c7d1b4403688c7b6b4977926989e6409a933b50767",
+            "LATE_ADVERT/events.ndjson": "4c2a9718bcec1a2092989c6bdc654182f56089456594a356ab8c23c754e361ae",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_compare_outputs_match_pinned_digests(case, tmp_path):
-    source, seed, horizon, pinned = CASES[case]
-    scenario = json.loads(source.read_text(encoding="utf-8"))
-    if horizon is not None:
-        scenario["horizon_seconds"] = horizon
+    source, seed, overrides, pinned = CASES[case]
+    scenario = {**json.loads(source.read_text(encoding="utf-8")), **overrides}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     out = tmp_path / "out"
