@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .metrics import _write_json, _write_run_outputs
@@ -154,7 +154,7 @@ def _cmd_compare(args) -> int:
     root = _out_root(args) / f"{base.name}-compare"
     per_strategy = {}
     for strat in strategies:
-        sc = Scenario.from_dict({**base.to_dict(), "relay_strategy": strat.value})
+        sc = replace(base, relay_strategy=strat)
         outdir = root / strat.value
         summary = _execute(sc, outdir)
         per_strategy[strat.value] = summary

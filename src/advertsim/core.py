@@ -40,10 +40,6 @@ class Hash(bytes):
             raise ValueError(f"Hash must be exactly 32 bytes, got {len(b)}")
         return super().__new__(cls, b)
 
-    @classmethod
-    def from_hex(cls, s: str) -> "Hash":
-        return cls(bytes.fromhex(s))
-
     def short(self) -> str:
         return self.hex()[:16]
 
@@ -56,10 +52,6 @@ class Address(bytes):
         if len(b) != 20:
             raise ValueError(f"Address must be exactly 20 bytes, got {len(b)}")
         return super().__new__(cls, b)
-
-    @classmethod
-    def from_hex(cls, s: str) -> "Address":
-        return cls(bytes.fromhex(s))
 
 
 def hash_bytes(data: bytes) -> Hash:

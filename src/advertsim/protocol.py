@@ -14,7 +14,7 @@ single-threaded; the messages they exchange are immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -559,19 +559,16 @@ class NodeProtocolState:
     chain: ChainState
     mempool: Mempool
     registry: AdvertRegistry
-    policy: SelectionPolicy = field(default_factory=SelectionPolicy)
-    mines: bool = True
 
 
-def on_block_accepted(state: NodeProtocolState, block: Block) -> Advert | None:
-    """Absorb a validated block into ``state``; return the next advert, if any.
-
-    A new advert is founded when the tip changed and this node mines.
+def on_block_accepted(state: NodeProtocolState, block: Block) -> AddOutcome:
+    """Absorb a validated block into ``state``; return what the chain did with it.
 
     The tip advances (or reorgs) per longest-chain rules; included and
     conflicting transactions leave the pool; transactions from abandoned
-    branches return when still valid. The own-block and other-block cases
-    are symmetric: any tip change yields a fresh advert on the new tip.
+    branches return when still valid. On a tip change, adverts two or more
+    blocks behind the new tip are evicted. The own-block and other-block
+    cases are symmetric; choosing the next advert is the caller's concern.
     """
     outcome = state.chain.add_block(block)
     if outcome.kind == "extended":
@@ -584,11 +581,6 @@ def on_block_accepted(state: NodeProtocolState, block: Block) -> Advert | None:
             for tx in blk.transactions:
                 state.mempool.add(tx, view)
         state.mempool.revalidate(view)
-
-    advert = None
     if outcome.tip_changed:
         state.registry.evict_stale(state.chain.heights, state.chain.height)
-        if state.mines:
-            advert = make_advert(state.address, state.chain.tip_hash, state.mempool, state.policy)
-            state.registry.register(advert)
-    return advert
+    return outcome

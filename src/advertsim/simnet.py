@@ -56,6 +56,7 @@ from .protocol import (
     Mempool,
     NodeProtocolState,
     Reason,
+    RegistrationResult,
     SelectionPolicy,
     make_advert,
     make_block_seed,
@@ -103,23 +104,13 @@ class Link:
         return self.latency + size / self.bandwidth
 
 
-def transmission_delay(message, link: Link) -> float:
-    """Seconds for ``message`` to cross ``link``: latency + size/bandwidth."""
-    return link.delay(serialized_size(message))
+# Seeds and blocks are deduplicated by header hash; only these two families
+# need a content key.
+_KEY_TAGS = {Transaction: b"\x01", Advert: b"\x04"}
 
 
-_KEY_TAGS = {
-    Transaction: b"\x01",
-    Advert: b"\x04",
-    BlockSeed: b"\x05",
-    Block: b"\x03",
-    TxRequest: b"\x06",
-    TxResponse: b"\x07",
-}
-
-
-def gossip_dedup_key(message) -> Hash:
-    """Stable content hash identifying a message across the network."""
+def gossip_dedup_key(message: Transaction | Advert) -> Hash:
+    """Stable content hash identifying a transaction or advert across the network."""
     return hash_bytes(_KEY_TAGS[type(message)] + serialize(message))
 
 
@@ -220,7 +211,8 @@ class Scenario:
             return [float(self.hash_rate)] * self.node_count
         return [float(r) for r in self.hash_rate]
 
-    def validate(self) -> None:
+    def validate(self) -> list[tuple[int, int]]:
+        """Check every field; return the topology's edge list, sampled as the run samples it."""
         for name in _INT_FIELDS:
             if not _int(getattr(self, name)):
                 raise ScenarioError(name, "must be an integer")
@@ -266,7 +258,7 @@ class Scenario:
         _validate_dist("link_latency", self.link_latency, allow_zero=True)
         _validate_dist("link_bandwidth", self.link_bandwidth, allow_zero=False)
         # raises ScenarioError on malformed or disconnected topologies
-        build_topology(self.topology, self.node_count, random.Random(f"{self.seed}/topology"))
+        return build_topology(self.topology, self.node_count, random.Random(f"{self.seed}/topology"))
 
 
 def _validate_dist(field_name: str, spec, allow_zero: bool) -> None:
@@ -510,14 +502,15 @@ def node_address(nid: int) -> Address:
 def run_scenario(scenario: Scenario) -> EventLog:
     """Drive every node under the scenario's strategy until the horizon.
 
-    Bitwise deterministic for a given scenario, rng seed included.
+    Bitwise deterministic for a given scenario, rng seed included. Raises
+    ScenarioError if the scenario is invalid.
     """
-    scenario.validate()
     return _Sim(scenario).run()
 
 
 class _Sim:
     def __init__(self, sc: Scenario) -> None:
+        edges = sc.validate()
         self.sc = sc
         self.strategy = sc.relay_strategy
         self.now = 0.0
@@ -554,8 +547,6 @@ class _Sim:
                 chain=chain,
                 mempool=Mempool(),
                 registry=AdvertRegistry(),
-                policy=self.policy,
-                mines=self.strategy is RelayStrategy.ADVERT_PROTOCOL,
             )
             node = _Node(nid, proto, rates[nid], random.Random(f"{sc.seed}/mining/{nid}"))
             node.tx_store.update(warm_store)
@@ -563,10 +554,9 @@ class _Sim:
                 node.proto.mempool.insert_unchecked(tx)
             self.nodes.append(node)
 
-        topo_rng = random.Random(f"{sc.seed}/topology")
         link_rng = random.Random(f"{sc.seed}/links")
         self.links: dict[tuple[int, int], Link] = {}
-        for a, b in build_topology(sc.topology, sc.node_count, topo_rng):
+        for a, b in edges:
             lat = _dist_sample(sc.link_latency, link_rng)
             bw = _dist_sample(sc.link_bandwidth, link_rng)
             self.links[(a, b)] = Link(a, b, lat, bw)
@@ -628,7 +618,7 @@ class _Sim:
     def run(self) -> EventLog:
         sc = self.sc
         for node in self.nodes:
-            self._bootstrap(node)
+            self._restart_mining(node)
         if sc.tx_rate > 0:
             self._schedule(self.arrivals_rng.expovariate(sc.tx_rate), "tx_arrival", None)
         horizon = sc.horizon_seconds
@@ -644,13 +634,22 @@ class _Sim:
                 self._on_tx_arrival()
         return self.log
 
-    def _bootstrap(self, node: _Node) -> None:
-        advert = None
+    def _own_advert(self, node: _Node) -> Advert:
+        """Fix the node's next block on its tip: choose its transaction list and
+        mine from it.
+
+        The list is registered unless BASELINE, which never announces it, and
+        flooded here only under ADVERT (LATE sends it at the find, after the
+        block_found record).
+        """
+        proto = node.proto
+        advert = make_advert(proto.address, proto.chain.tip_hash, proto.mempool, self.policy)
+        if self.strategy is not RelayStrategy.BASELINE_FULL_BLOCK:
+            proto.registry.register(advert)
         if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
-            advert = make_advert(node.proto.address, GENESIS_HASH, node.proto.mempool, self.policy)
-            node.proto.registry.register(advert)
             self._announce(node, advert)
-        self._restart_mining(node, advert)
+        node.template = self._template_from(node, advert)
+        return advert
 
     def _announce(self, node: _Node, advert: Advert) -> None:
         """Flood a node's own advert to all its neighbours."""
@@ -659,17 +658,12 @@ class _Sim:
         size = serialized_size(advert)
         self._flood(node, advert, "advert", oid, None, float(size), size)
 
-    def _restart_mining(self, node: _Node, advert: Advert | None) -> None:
+    def _restart_mining(self, node: _Node) -> None:
         node.session += 1
-        proto = node.proto
         if self.strategy is RelayStrategy.LATE_ADVERT:
             node.template = None  # transaction list chosen at find time
         else:
-            if self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
-                # same greedy selection, just never announced
-                advert = make_advert(proto.address, proto.chain.tip_hash, proto.mempool, self.policy)
-            assert advert is not None
-            node.template = self._template_from(node, advert)
+            self._own_advert(node)
         dt = sample_mining_time(
             HashRate(node.rate), CompactTarget(self.sc.difficulty_bits), node.mining_rng
         )
@@ -704,11 +698,7 @@ class _Sim:
             return  # tip changed while this sample was pending
         advert = None
         if self.strategy is RelayStrategy.LATE_ADVERT:
-            advert = make_advert(
-                node.proto.address, node.proto.chain.tip_hash, node.proto.mempool, self.policy
-            )
-            node.proto.registry.register(advert)
-            node.template = self._template_from(node, advert)
+            advert = self._own_advert(node)
         template = node.template
         assert template is not None
         block = mine(template, _SIM_POW_BUDGET)
@@ -796,9 +786,8 @@ class _Sim:
 
     def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
-        node.proto.registry.register(advert)  # first arrival wins
         node.pull_log.setdefault(key, [(self.now, sent.val)])
-        if node.proto.registry.lookup(*key) is advert:
+        if node.proto.registry.register(advert) is RegistrationResult.REGISTERED:  # first arrival wins
             missing = missing_txs(advert, node.tx_store)
             if missing:
                 self._request_txs(node, missing, sent.src, key)
@@ -807,14 +796,13 @@ class _Sim:
             self._try_seed(node, pend, request_from=pend.sent.src)
 
     def _handle_relayed_block(self, node: _Node, msg: BlockSeed | Block, sent: LogRecord) -> None:
+        # the oid is the block hash, and a node marks it seen before accepting
+        # the block, so the chain cannot know it yet
         bh = header_hash(msg.header)
-        chain = node.proto.chain
-        if chain.knows(bh):
-            return
         parent = msg.header.prev_block_hash
         pend = _PendingSeed(msg, sent, bh, (msg.coinbase.coinbase_address, parent))
         # a seed parks before its first try; a full block only while its parent is unknown
-        if type(msg) is BlockSeed or not chain.knows(parent):
+        if type(msg) is BlockSeed or not node.proto.chain.knows(parent):
             self._add_pending(node, pend)
         self._try_seed(node, pend, request_from=sent.src)
 
@@ -901,9 +889,7 @@ class _Sim:
         for tx in block.transactions:
             node.tx_store.setdefault(txid(tx), tx)
         proto = node.proto
-        pre_tip = proto.chain.tip_hash
-        next_advert = on_block_accepted(proto, block)
-        if proto.chain.tip_hash != pre_tip:
+        if on_block_accepted(proto, block).tip_changed:
             self.log.records.append(
                 LogRecord(
                     self.now,
@@ -918,9 +904,7 @@ class _Sim:
                     float(proto.chain.height),
                 )
             )
-            if next_advert is not None:
-                self._announce(node, next_advert)
-            self._restart_mining(node, next_advert)
+            self._restart_mining(node)
         # a newly known block may unblock seeds waiting on their parent
         for pend in list(node.pending.values()):
             if pend.msg.header.prev_block_hash == bh:

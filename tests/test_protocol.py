@@ -408,13 +408,12 @@ class TestValidationLadder:
 
 
 class TestOnBlockAccepted:
-    def _state(self, bundle, mines=True):
+    def _state(self, bundle):
         return NodeProtocolState(
             address=bundle.address,
             chain=bundle.chain,
             mempool=bundle.mempool,
             registry=bundle.registry,
-            mines=mines,
         )
 
     def test_own_block_yields_immediate_next_advert(self):
@@ -423,14 +422,15 @@ class TestOnBlockAccepted:
         leftover = funded_tx(rng, bundle.chain.utxo)
         bundle.mempool.add(leftover, bundle.chain.utxo)
         state = self._state(bundle)
-        advert = on_block_accepted(state, bundle.block)
+        assert on_block_accepted(state, bundle.block).kind == "extended"
         chain = state.chain
         assert chain.tip_hash == block_hash(bundle.block)
         assert chain.height == 1
-        assert advert is not None
+        # the next list is chosen by the caller, over the updated pool
+        assert state.registry.lookup(bundle.address, chain.tip_hash) is None
+        advert = make_advert(state.address, chain.tip_hash, state.mempool)
         assert advert.prev_block_hash == block_hash(bundle.block)
         assert advert.tx_hashes == (txid(leftover),)
-        assert state.registry.lookup(bundle.address, chain.tip_hash) is advert
 
     def test_competitor_block_removes_shared_txs_from_next_advert(self):
         rng = random.Random(31)
@@ -445,8 +445,9 @@ class TestOnBlockAccepted:
         )
         competitor = mine(comp_template, MINE_BUDGET)
         state = self._state(bundle)
-        advert = on_block_accepted(state, competitor)
-        assert advert is not None
+        assert on_block_accepted(state, competitor).kind == "extended"
+        advert = make_advert(state.address, state.chain.tip_hash, state.mempool)
+        assert advert.prev_block_hash == block_hash(competitor)
         remaining = {txid(t) for t in bundle.block.transactions[2:]}
         assert set(advert.tx_hashes) == remaining
 
@@ -456,9 +457,8 @@ class TestOnBlockAccepted:
         op = bundle.block.transactions[0].inputs[0]
         conflictor = Transaction(inputs=(op,), outputs=((rand_address(rng), 7),))
         bundle.mempool.insert_unchecked(conflictor)
-        state = self._state(bundle, mines=False)
-        advert = on_block_accepted(state, bundle.block)
-        assert advert is None
+        state = self._state(bundle)
+        assert on_block_accepted(state, bundle.block).kind == "extended"
         assert txid(conflictor) not in state.mempool
         assert len(state.mempool) == 0
 
@@ -489,17 +489,18 @@ class TestOnBlockAccepted:
         block_b1 = mined(genesis, miner_b, ())  # branch B: empty blocks
         block_b2 = mined(block_hash(block_b1), miner_b, (tx_b,), extra=1)
 
-        state = NodeProtocolState(
-            address=miner_a, chain=chain, mempool=pool, registry=AdvertRegistry(), mines=False
-        )
-        on_block_accepted(state, block_a)
+        state = NodeProtocolState(address=miner_a, chain=chain, mempool=pool, registry=AdvertRegistry())
+        assert on_block_accepted(state, block_a).kind == "extended"
         assert chain.tip_hash == block_hash(block_a)
         assert txid(tx_a) not in pool
 
-        on_block_accepted(state, block_b1)  # side branch, no adoption yet
+        outcome = on_block_accepted(state, block_b1)  # side branch, no adoption yet
+        assert outcome.kind == "side" and not outcome.tip_changed
         assert chain.tip_hash == block_hash(block_a)
 
-        on_block_accepted(state, block_b2)  # longer branch wins
+        outcome = on_block_accepted(state, block_b2)  # longer branch wins
+        assert outcome.kind == "reorged"
+        assert outcome.removed == (block_a,) and outcome.added == (block_b1, block_b2)
         assert chain.tip_hash == block_hash(block_b2)
         assert chain.height == 2
         # tx_a came back from the abandoned branch; tx_b was mined on B
@@ -526,10 +527,10 @@ class TestOnBlockAccepted:
             ),
             MINE_BUDGET,
         )
-        state = self._state(bundle, mines=False)
-        on_block_accepted(state, bundle.block)
+        state = self._state(bundle)
+        assert on_block_accepted(state, bundle.block).kind == "extended"
         tip = state.chain.tip_hash
-        on_block_accepted(state, rival)
+        assert on_block_accepted(state, rival).kind == "side"
         assert state.chain.tip_hash == tip  # ties never displace the tip
         assert state.chain.knows(block_hash(rival))
 

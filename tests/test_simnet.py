@@ -21,7 +21,6 @@ from advertsim.simnet import (
     build_topology,
     gossip_dedup_key,
     run_scenario,
-    transmission_delay,
 )
 
 from conftest import rand_address, rand_hash
@@ -53,7 +52,7 @@ class TestTransmissionDelay:
 
         block = _block_of(2000)
         assert serialized_size(block) == 1_000_280
-        assert transmission_delay(block, link) == pytest.approx(1.05028, abs=1e-9)
+        assert link.delay(serialized_size(block)) == pytest.approx(1.05028, abs=1e-9)
 
     def test_seed_over_same_link(self):
         from test_core import _block_of
@@ -61,13 +60,13 @@ class TestTransmissionDelay:
 
         link = Link(0, 1, latency=0.05, bandwidth=1_000_000.0)
         seed = make_block_seed(_block_of(3))
-        assert transmission_delay(seed, link) == pytest.approx(0.0503, abs=1e-9)
+        assert link.delay(serialized_size(seed)) == pytest.approx(0.0503, abs=1e-9)
 
     def test_zero_size_message_costs_latency_only(self):
         link = Link(0, 1, latency=0.125, bandwidth=10.0)
         from advertsim.core import TxResponse
 
-        assert transmission_delay(TxResponse(txs=()), link) == 0.125
+        assert link.delay(serialized_size(TxResponse(txs=()))) == 0.125
 
     def test_link_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +159,22 @@ class TestScenarioValidation:
     def test_hash_rate_list_length_checked(self):
         with pytest.raises(ScenarioError):
             _mini(hash_rate=[1.0, 2.0]).validate()
+
+    def test_run_samples_the_topology_once(self, monkeypatch):
+        import advertsim.simnet as simnet
+
+        calls = []
+        real = simnet.build_topology
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simnet, "build_topology", counting)
+        sc = _mini(horizon_seconds=1.0, topology={"kind": "random_regular", "degree": 2})
+        run_scenario(sc)
+        assert len(calls) == 1
+        assert sc.validate() == real(sc.topology, sc.node_count, random.Random(f"{sc.seed}/topology"))
 
     def test_nonpositive_rates_rejected(self):
         with pytest.raises(ScenarioError):
@@ -263,6 +278,51 @@ class TestLateAdvertRace:
         )
         advert_size = 8 + 20 + 32 + 32 * 20
         assert pb == advert_size + 300
+
+
+FORKY_COLD = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "forky-cold.json"
+
+
+class TestOwnAdvertFloods:
+    """The strategy alone decides when a miner sends its own advert.
+
+    ADVERT floods one at the start and one per tip adoption, LATE one per
+    find, BASELINE none. An own advert's ``send`` carries path bytes equal
+    to its size; a relay adds the bytes of the hops before it.
+    """
+
+    @pytest.mark.parametrize("delay", [0.0, 0.01])
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_own_advert_floods_per_node(self, strategy, delay):
+        data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        data.update(horizon_seconds=20.0, processing_delay_seconds=delay, relay_strategy=strategy)
+        sim = _Sim(Scenario.from_dict(data))
+        log = sim.run()
+        floods = collections.Counter()
+        sends = collections.Counter()
+        events = collections.Counter()
+        for r in log.records:
+            if r.kind == "send" and r.msg == "advert":
+                assert r.val >= r.size
+                if r.val == r.size:
+                    floods[r.src, r.oid] += 1
+                    sends[r.src] += 1
+            elif r.kind in ("tip_adopt", "block_found"):
+                events[r.src, r.kind] += 1
+        assert any(kind == "block_found" for _, kind in events)
+        for node in sim.nodes:
+            nid = node.nid
+            if strategy == "ADVERT_PROTOCOL":
+                expected = 1 + events[nid, "tip_adopt"]
+            elif strategy == "LATE_ADVERT":
+                expected = events[nid, "block_found"]
+            else:
+                expected = 0
+            own = [oid for src, oid in floods if src == nid]
+            assert len(own) == expected, nid
+            # each flood reaches every neighbour once
+            assert sends[nid] == expected * len(node.neighbors)
+            assert all(floods[nid, oid] == len(node.neighbors) for oid in own)
 
 
 class TestDeterminismAndCausality:
