@@ -41,6 +41,10 @@ def load_scenario(path: str | Path) -> Scenario:
     Raises ScenarioError with the offending field named, or ValueError
     with line/position diagnostics for malformed JSON.
     """
+    return Scenario.from_dict(_read_scenario(path))
+
+
+def _read_scenario(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -51,16 +55,17 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ValueError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict):
         raise ScenarioError("scenario", "top level must be a JSON object")
+    return data
+
+
+def _load_with_overrides(args) -> Scenario:
+    """The scenario file with ``--seed`` and ``--strategy`` applied, validated once."""
+    data = _read_scenario(args.scenario)
+    if args.seed is not None:
+        data["seed"] = args.seed
+    if args.strategy is not None:
+        data["relay_strategy"] = args.strategy
     return Scenario.from_dict(data)
-
-
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    if getattr(args, "seed", None) is not None:
-        sc.seed = args.seed
-    if getattr(args, "strategy", None) is not None:
-        sc.relay_strategy = RelayStrategy(args.strategy)
-    sc.validate()
-    return sc
 
 
 def _out_root(args) -> Path:
@@ -83,7 +88,7 @@ def _execute(sc: Scenario, outdir: Path) -> dict:
 
 
 def _cmd_run(args) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
+    sc = _load_with_overrides(args)
     outdir = _out_root(args) / sc.name
     summary = _execute(sc, outdir)
     print(f"run complete: {outdir}")
@@ -130,7 +135,7 @@ def _parse_sweep(spec: str, sc: Scenario) -> tuple[str, list]:
 
 
 def _cmd_sweep(args) -> int:
-    base = _apply_overrides(load_scenario(args.scenario), args)
+    base = _load_with_overrides(args)
     key, values = _parse_sweep(args.sweep, base)
     root = _out_root(args) / f"{base.name}-sweep-{key}"
     entries = []
@@ -149,7 +154,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    base = _apply_overrides(load_scenario(args.scenario), args)
+    base = _load_with_overrides(args)
     strategies = [RelayStrategy(s.strip()) for s in args.strategies.split(",")]
     root = _out_root(args) / f"{base.name}-compare"
     per_strategy = {}

@@ -158,12 +158,16 @@ class CompactTarget:
 
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
+    """Every copy of a block (seed, reconstruction, relayed block) shares its
+    header object, so the header hash is computed once per network."""
+
     version: int
     prev_block_hash: Hash
     merkle_root: Hash
     timestamp: int
     difficulty_target: CompactTarget
     nonce: int
+    _hash: Hash | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prev_block_hash", Hash(self.prev_block_hash))
@@ -189,9 +193,9 @@ class Block:
     def __post_init__(self) -> None:
         object.__setattr__(self, "transactions", tuple(self.transactions))
 
-    def all_txids(self) -> list[Hash]:
+    def all_txids(self) -> tuple[Hash, ...]:
         """Leaf order for the Merkle tree: coinbase first, then the list."""
-        return [txid(self.coinbase)] + [txid(t) for t in self.transactions]
+        return (txid(self.coinbase), *[txid(t) for t in self.transactions])
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,7 +307,12 @@ def txid(tx: Transaction | CoinbaseTransaction) -> Hash:
 
 
 def header_hash(header: BlockHeader) -> Hash:
-    return hash_bytes(serialize(header))
+    """Double SHA-256 of the header's canonical bytes. Cached on the instance."""
+    cached = header._hash
+    if cached is None:
+        cached = hash_bytes(serialize(header))
+        object.__setattr__(header, "_hash", cached)
+    return cached
 
 
 def block_hash(block: Block) -> Hash:

@@ -30,6 +30,7 @@ from .core import (
     Outpoint,
     Transaction,
     block_hash,
+    header_hash,
     merkle_root,
     serialize,
     serialized_size,
@@ -274,10 +275,22 @@ class ChainState:
     Tip selection is longest chain; ties keep the incumbent (first
     received wins). Undo data per applied block makes shallow reorgs and
     fork-point UTXO views cheap.
+
+    ``checked`` maps a header hash to the Merkle leaves of a block whose
+    content passed the Merkle and transaction-validity checks (see
+    ``_check_content``). Chains may share one map only if they start from
+    the same genesis hash and UTXO set, as the nodes of one network do;
+    by default a chain keeps its own.
     """
 
-    def __init__(self, genesis_hash: Hash, genesis_utxo: dict[Outpoint, tuple[Address, int]]):
+    def __init__(
+        self,
+        genesis_hash: Hash,
+        genesis_utxo: dict[Outpoint, tuple[Address, int]],
+        checked: dict[Hash, tuple[Hash, ...]] | None = None,
+    ):
         self.genesis_hash = Hash(genesis_hash)
+        self.checked = {} if checked is None else checked
         self.tip_hash = self.genesis_hash
         self.height = 0
         self.known_blocks: dict[Hash, Block | None] = {self.genesis_hash: None}
@@ -509,29 +522,39 @@ def validate_block(block: Block, registry: AdvertRegistry, chain: ChainState) ->
         return ValidationVerdict(Reason.NO_MATCHING_ADVERT)
     if advert.coinbase_address != block.coinbase.coinbase_address:
         return ValidationVerdict(Reason.COINBASE_MISMATCH)
-    if not chain.knows(block.header.prev_block_hash):
-        return ValidationVerdict(Reason.WRONG_PREV_HASH)
-    if not check_pow(block.header):
-        return ValidationVerdict(Reason.POW_FAIL)
-    if tuple(txid(t) for t in block.transactions) != advert.tx_hashes:
-        return ValidationVerdict(Reason.TX_LIST_MISMATCH)
-    if merkle_root(block.all_txids()) != block.header.merkle_root:
-        return ValidationVerdict(Reason.MERKLE_MISMATCH)
-    if not _txs_valid_against_parent(block, chain):
-        return ValidationVerdict(Reason.INVALID_TX)
-    return ValidationVerdict(Reason.OK)
+    return _check_content(block, chain, advert.tx_hashes)
 
 
 def validate_block_baseline(block: Block, chain: ChainState) -> ValidationVerdict:
     """The full-block relay rule: no advert conditions, everything else equal."""
-    if not chain.knows(block.header.prev_block_hash):
+    return _check_content(block, chain, None)
+
+
+def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | None) -> ValidationVerdict:
+    """Steps 3-7 of the ladder; step 5 only when an advertised list is given.
+
+    Steps 6 and 7 run once per network: a block whose header hash and Merkle
+    leaves equal an entry of ``chain.checked`` passed them already. Equal
+    leaves mean equal transactions (a txid covers every field), and the
+    UTXO view at a known parent depends only on the parent's ancestry,
+    which its hash fixes, and on the genesis the sharing chains have in
+    common.
+    """
+    header = block.header
+    if not chain.knows(header.prev_block_hash):
         return ValidationVerdict(Reason.WRONG_PREV_HASH)
-    if not check_pow(block.header):
+    if not check_pow(header):
         return ValidationVerdict(Reason.POW_FAIL)
-    if merkle_root(block.all_txids()) != block.header.merkle_root:
-        return ValidationVerdict(Reason.MERKLE_MISMATCH)
-    if not _txs_valid_against_parent(block, chain):
-        return ValidationVerdict(Reason.INVALID_TX)
+    leaves = block.all_txids()
+    if listed is not None and leaves[1:] != listed:
+        return ValidationVerdict(Reason.TX_LIST_MISMATCH)
+    h = header_hash(header)
+    if chain.checked.get(h) != leaves:
+        if merkle_root(leaves) != header.merkle_root:
+            return ValidationVerdict(Reason.MERKLE_MISMATCH)
+        if not _txs_valid_against_parent(block, chain):
+            return ValidationVerdict(Reason.INVALID_TX)
+        chain.checked[h] = leaves
     return ValidationVerdict(Reason.OK)
 
 

@@ -403,6 +403,11 @@ class LogRecord(NamedTuple):
     val: float  # height / cumulative post-find path bytes
 
 
+# Builds a record from a ready tuple without LogRecord's Python-level __new__;
+# the hot send and deliver paths use it.
+_new_record = tuple.__new__
+
+
 class EventLog:
     """Append-only record stream, serializable to newline-delimited JSON."""
 
@@ -483,7 +488,7 @@ class _Node:
     proto: NodeProtocolState
     rate: float
     mining_rng: random.Random
-    neighbors: list[int] = field(default_factory=list)
+    neighbors: dict[int, Link] = field(default_factory=dict)  # by ascending neighbour id
     tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
     seen: set[str] = field(default_factory=set)
     pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
@@ -539,9 +544,10 @@ class _Sim:
 
         warm_store = {txid(tx): tx for tx in self.warm_txs}
         rates = sc.hash_rates()
+        checked: dict = {}  # every chain starts from genesis_utxo, so one record serves all
         self.nodes: list[_Node] = []
         for nid in range(sc.node_count):
-            chain = ChainState(GENESIS_HASH, genesis_utxo)
+            chain = ChainState(GENESIS_HASH, genesis_utxo, checked)
             proto = NodeProtocolState(
                 address=node_address(nid),
                 chain=chain,
@@ -555,15 +561,14 @@ class _Sim:
             self.nodes.append(node)
 
         link_rng = random.Random(f"{sc.seed}/links")
-        self.links: dict[tuple[int, int], Link] = {}
         for a, b in edges:
             lat = _dist_sample(sc.link_latency, link_rng)
             bw = _dist_sample(sc.link_bandwidth, link_rng)
-            self.links[(a, b)] = Link(a, b, lat, bw)
-            self.nodes[a].neighbors.append(b)
-            self.nodes[b].neighbors.append(a)
+            link = Link(a, b, lat, bw)
+            self.nodes[a].neighbors[b] = link
+            self.nodes[b].neighbors[a] = link
         for node in self.nodes:
-            node.neighbors.sort()
+            node.neighbors = dict(sorted(node.neighbors.items()))
 
         meta = {
             "schema": LOG_SCHEMA_VERSION,
@@ -596,22 +601,24 @@ class _Sim:
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, kind, payload))
 
-    def _send(self, src: int, dst: int, msg, family: str, oid: str, cpb: float, size: int) -> None:
-        """Send ``msg``; ``size`` is its modelled size, computed once where the message was made."""
+    def _send(
+        self, src: int, dst: int, link: Link, msg, family: str, oid: str, cpb: float, size: int
+    ) -> None:
+        """Send ``msg`` over ``link``; ``size`` is its modelled size, computed once
+        where the message was made."""
         self.mid += 1
         t_send = self.now + self.proc
-        sent = LogRecord(t_send, "send", src, dst, family, size, self.mid, oid, "", cpb)
+        sent = _new_record(LogRecord, (t_send, "send", src, dst, family, size, self.mid, oid, "", cpb))
         self.log.records.append(sent)
-        key = (src, dst) if src < dst else (dst, src)
-        arrival = t_send + self.links[key].delay(size)
-        self._schedule(arrival, "deliver", (sent, msg))
+        self._schedule(t_send + link.delay(size), "deliver", (sent, msg))
 
     def _flood(
         self, node: _Node, msg, family: str, oid: str, exclude: int | None, cpb: float, size: int
     ) -> None:
-        for nb in node.neighbors:
+        src = node.nid
+        for nb, link in node.neighbors.items():
             if nb != exclude:
-                self._send(node.nid, nb, msg, family, oid, cpb, size)
+                self._send(src, nb, link, msg, family, oid, cpb, size)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -751,7 +758,7 @@ class _Sim:
 
     def _on_deliver(self, sent: LogRecord, msg) -> None:
         """Log the delivery of ``msg`` and handle it; ``sent`` is its ``send`` record."""
-        self.log.records.append(LogRecord(self.now, "deliver", *sent[2:]))
+        self.log.records.append(_new_record(LogRecord, (self.now, "deliver") + sent[2:]))
         node = self.nodes[sent.dst]
         family, oid = sent.msg, sent.oid
         if family == "txreq":
@@ -852,7 +859,8 @@ class _Sim:
         have = tuple(store[h] for h in req.hashes if h in store)
         if have:
             resp = TxResponse(have)
-            self._send(node.nid, requester, resp, "txresp", "", 0.0, serialized_size(resp))
+            size = serialized_size(resp)
+            self._send(node.nid, requester, node.neighbors[requester], resp, "txresp", "", 0.0, size)
 
     def _handle_tx_response(self, node: _Node, resp: TxResponse) -> None:
         for tx in resp.txs:
@@ -875,7 +883,7 @@ class _Sim:
             node.req_map[h] = key
         # the advert's arrival opened this ledger: a pull needs the registered advert
         node.pull_log[key].append((self.now + self.proc, float(size)))
-        self._send(node.nid, target, req, "txreq", "", 0.0, size)
+        self._send(node.nid, target, node.neighbors[target], req, "txreq", "", 0.0, size)
 
     def _retry_pending_for_tx(self, node: _Node, h: Hash) -> None:
         # a seed advances on a new transaction only if it lacked that one

@@ -8,8 +8,10 @@ byte for byte makes a change to the metrics code that moves any printed
 number fail here too. The processing-delay case is the one where post-find
 pulls reach the critical path: a ``txreq`` is stamped at its send time (now
 plus the processing delay), which can fall after a find not yet processed,
-and slow links land many pulled transactions after the find. Only a change
-that alters the simulated behaviour or a metric on purpose re-pins them.
+and slow links land many pulled transactions after the find. The 10 s
+forky case starts from a 4,000-transaction warm pool, so its blocks carry
+up to 1,999 transactions each and fork. Only a change that alters the
+simulated behaviour or a metric on purpose re-pins them.
 """
 
 import hashlib
@@ -82,6 +84,24 @@ CASES = {
             "BASELINE_FULL_BLOCK/events.ndjson": "a7df0753db3596eec078d10342ccca5d28267c42474c74796836ff2b3f3c05bf",
             "ADVERT_PROTOCOL/events.ndjson": "862dcdb34d9abe7f7cb5c3c7d1b4403688c7b6b4977926989e6409a933b50767",
             "LATE_ADVERT/events.ndjson": "4c2a9718bcec1a2092989c6bdc654182f56089456594a356ab8c23c754e361ae",
+        },
+    ),
+    # the benchmark's forky workload (read only), cut to 10 s: large blocks with forks
+    "forky-10s": (
+        REPO_ROOT / "perfbench" / "workloads" / "forky.json",
+        1,
+        {"horizon_seconds": 10.0},
+        {
+            "comparison.json": "df5961b2f85cf0c8095c465f0254d5f305bc2d74d8c50a4b1f4ccee72d518085",
+            "BASELINE_FULL_BLOCK/summary.json": "df61960fc61476ea4770b0e2d88aa363c0d15bf29cd0facaf64e79d6cf50012d",
+            "BASELINE_FULL_BLOCK/blocks.csv": "af73c60a103f8cdf3be1c662424bb645e1a079ae5fec7ef518e38fcb5e9d25da",
+            "ADVERT_PROTOCOL/summary.json": "0cb36769a77f74f6bd874d2b8c28629cb232ed793c918574b91ee8667ba807dc",
+            "ADVERT_PROTOCOL/blocks.csv": "253a636216e64763257108b8d8b6453acdf216f2cabca8d4feee0c938dc90694",
+            "LATE_ADVERT/summary.json": "3a4b04f8ee31c91c5f07f9a5a5e0ab669daa358648865b9099ad06efc4ec09b7",
+            "LATE_ADVERT/blocks.csv": "2958cd78a44ea08d5906823745b3bf11f0591e2fc11d2369690625779dd0f8ea",
+            "BASELINE_FULL_BLOCK/events.ndjson": "c71db91e017eb83ef1f147f9e578a4faf58740db1c4811fb62bf908c38eea584",
+            "ADVERT_PROTOCOL/events.ndjson": "d28b341dfa3a6c1102124135dc46f9f805a07dc88df7138cee0b644feb1c85a2",
+            "LATE_ADVERT/events.ndjson": "fbf4cb292b64c27ec2d93a009f26932fcd1c645328ce612399c0e483ab710d13",
         },
     ),
 }

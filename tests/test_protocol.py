@@ -407,6 +407,82 @@ class TestValidationLadder:
         assert validate_block(bundle.block, AdvertRegistry(), bundle.chain).reason is Reason.NO_MATCHING_ADVERT
 
 
+class TestSharedContentRecord:
+    """Chains of one network share the record of blocks whose content passed
+    the Merkle and validity checks; only a block equal in header and leaves
+    to a recorded one skips them."""
+
+    @staticmethod
+    def _network(bundle):
+        # the bundle's chain holds no block yet, so its UTXO set is the genesis one
+        checked: dict = {}
+        a = ChainState(bundle.genesis, bundle.chain.utxo, checked)
+        b = ChainState(bundle.genesis, bundle.chain.utxo, checked)
+        return checked, a, b
+
+    def test_second_node_skips_merkle_and_validity(self, monkeypatch):
+        import advertsim.protocol as protocol
+
+        rng = random.Random(40)
+        bundle = advertised_block(rng, bits=4, ntx=5)
+        checked, a, b = self._network(bundle)
+        calls = []
+        merkle, valid = protocol.merkle_root, protocol._txs_valid_against_parent
+        monkeypatch.setattr(protocol, "merkle_root", lambda leaves: calls.append("merkle") or merkle(leaves))
+        monkeypatch.setattr(
+            protocol, "_txs_valid_against_parent", lambda blk, ch: calls.append("valid") or valid(blk, ch)
+        )
+        assert validate_block(bundle.block, bundle.registry, a).accepted
+        assert list(checked) == [block_hash(bundle.block)]
+        assert validate_block_baseline(bundle.block, b).accepted
+        assert validate_block(bundle.block, bundle.registry, b).accepted
+        assert calls == ["merkle", "valid"]
+
+    def test_same_header_other_transactions_still_rejected(self):
+        rng = random.Random(41)
+        bundle = advertised_block(rng, bits=4, ntx=5)
+        checked, a, b = self._network(bundle)
+        assert validate_block(bundle.block, bundle.registry, a).accepted
+        block = bundle.block
+        reordered = (block.transactions[1], block.transactions[0]) + block.transactions[2:]
+        substituted = block.transactions[:-1] + (funded_tx(rng, {}),)
+        for txs in (reordered, substituted, block.transactions[:-1]):
+            forged = Block(header=block.header, coinbase=block.coinbase, transactions=txs)
+            # at the other node, under the honest advert
+            assert validate_block(forged, bundle.registry, b).reason is Reason.TX_LIST_MISMATCH
+            # under a conflicting advert registered at the other node first
+            registry = AdvertRegistry()
+            registry.register(
+                Advert(coinbase_address=bundle.address, tx_hashes=tuple(txid(t) for t in txs),
+                       prev_block_hash=bundle.genesis)
+            )
+            assert validate_block(forged, registry, b).reason is Reason.MERKLE_MISMATCH
+            assert validate_block_baseline(forged, b).reason is Reason.MERKLE_MISMATCH
+        assert list(checked) == [block_hash(block)]
+        assert validate_block(block, bundle.registry, b).accepted
+
+    def test_other_genesis_utxo_does_not_share_the_record(self):
+        rng = random.Random(42)
+        bundle = advertised_block(rng, bits=4, ntx=3)
+        checked, a, _ = self._network(bundle)
+        assert validate_block(bundle.block, bundle.registry, a).accepted
+        assert block_hash(bundle.block) in checked
+        spent = dict(bundle.chain.utxo)
+        del spent[bundle.block.transactions[0].inputs[0]]
+        other = ChainState(bundle.genesis, spent)
+        assert validate_block(bundle.block, bundle.registry, other).reason is Reason.INVALID_TX
+        assert validate_block_baseline(bundle.block, other).reason is Reason.INVALID_TX
+        assert other.checked == {}
+
+    def test_rejected_content_is_not_recorded(self):
+        rng = random.Random(43)
+        bundle = advertised_block(rng, bits=4, ntx=3)
+        chain = ChainState(bundle.genesis, {})
+        for _ in range(2):
+            assert validate_block_baseline(bundle.block, chain).reason is Reason.INVALID_TX
+        assert chain.checked == {}
+
+
 class TestOnBlockAccepted:
     def _state(self, bundle):
         return NodeProtocolState(

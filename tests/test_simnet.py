@@ -176,6 +176,27 @@ class TestScenarioValidation:
         assert len(calls) == 1
         assert sc.validate() == real(sc.topology, sc.node_count, random.Random(f"{sc.seed}/topology"))
 
+    def test_compare_samples_the_topology_once_per_run(self, monkeypatch, tmp_path):
+        import advertsim.simnet as simnet
+        from advertsim.cli import EXIT_OK, main
+
+        calls = []
+        real = simnet.build_topology
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simnet, "build_topology", counting)
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(_mini(horizon_seconds=1.0).to_dict()), encoding="utf-8")
+        strategies = ",".join(s.value for s in RelayStrategy)
+        argv = ["compare", "--scenario", str(path), "--seed", "3", "--strategies", strategies,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        # one check of the file with its overrides applied, then one sample per run
+        assert len(calls) == 1 + len(RelayStrategy)
+
     def test_nonpositive_rates_rejected(self):
         with pytest.raises(ScenarioError):
             _mini(hash_rate=0.0).validate()
@@ -323,6 +344,31 @@ class TestOwnAdvertFloods:
             # each flood reaches every neighbour once
             assert sends[nid] == expected * len(node.neighbors)
             assert all(floods[nid, oid] == len(node.neighbors) for oid in own)
+
+
+class TestContentCheckedOncePerNetwork:
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_merkle_root_at_most_twice_per_found_block(self, strategy, monkeypatch):
+        """Once in ``mine``, once at the first node that validates the block."""
+        import advertsim.mining as mining
+        import advertsim.protocol as protocol
+
+        calls = []
+        real = protocol.merkle_root
+
+        def counting(leaves):
+            calls.append(len(leaves))
+            return real(leaves)
+
+        monkeypatch.setattr(protocol, "merkle_root", counting)
+        monkeypatch.setattr(mining, "merkle_root", counting)
+        data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        data.update(horizon_seconds=20.0, relay_strategy=strategy)
+        log = run_scenario(Scenario.from_dict(data))
+        found = sum(r.kind == "block_found" for r in log.records)
+        accepted = sum(r.kind == "block_accept" for r in log.records)
+        assert accepted > 4 * found  # most blocks are checked at many nodes
+        assert found <= len(calls) <= 2 * found
 
 
 class TestDeterminismAndCausality:
