@@ -137,11 +137,13 @@ def _parse_sweep(spec: str, sc: Scenario) -> tuple[str, list]:
 def _cmd_sweep(args) -> int:
     base = _load_with_overrides(args)
     key, values = _parse_sweep(args.sweep, base)
+    runs = [replace(base, **{key: v}) for v in values]
+    for sc in runs:
+        sc.validate()  # every value before the first run writes anything
     root = _out_root(args) / f"{base.name}-sweep-{key}"
     entries = []
-    for v in values:
+    for v, sc in zip(values, runs):
         tag = v.value if isinstance(v, RelayStrategy) else v
-        sc = Scenario.from_dict({**base.to_dict(), key: tag})
         outdir = root / f"{key}={tag}"
         summary = _execute(sc, outdir)
         entries.append({"value": tag, "dir": str(outdir), "summary": summary})

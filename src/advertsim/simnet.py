@@ -134,6 +134,7 @@ _INT_FIELDS = (
     "tx_size_bytes",
     "coinbase_size_bytes",
     "initial_mempool_txs",
+    "seed",
     "block_size_cap_bytes",
     "pending_seed_buffer",
     "block_reward",
@@ -179,6 +180,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """Strict construction: unknown fields are rejected to catch typos."""
+        version = data.get("schema_version", 1)
+        if not _int(version) or version != 1:
+            raise ScenarioError("schema_version", "must be 1")
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(data) - known - {"schema_version"})
         if unknown:
@@ -470,16 +474,14 @@ class _PendingSeed:
     """A relayed seed or full block on its way to acceptance; retried as prerequisites arrive.
 
     ``sent`` is the ``send`` record it arrived under: sender, family, size,
-    id and path bytes. ``key`` is its advert's (coinbase address, parent).
-    ``missing`` holds the advertised transactions a seed lacked at its
-    last try; it is empty while the seed waits for its advert or parent.
+    id and path bytes. ``needs`` holds what its last try lacked, to be woken
+    by: its advert key, the advertised transactions it could not resolve,
+    or its parent's hash.
     """
 
     msg: BlockSeed | Block  # as relayed
     sent: LogRecord
-    block_h: Hash
-    key: tuple[Address, Hash]
-    missing: frozenset[Hash] = frozenset()
+    needs: tuple | frozenset = ()
 
 
 @dataclass(slots=True, eq=False)
@@ -781,7 +783,7 @@ class _Sim:
         if h not in node.tx_store:
             node.tx_store[h] = tx
             node.proto.mempool.add(tx, node.proto.chain.utxo)
-            self._retry_pending_for_tx(node, h)
+            self._wake(node, h)
 
     def _relay_new_tx(self, node: _Node, tx: Transaction) -> None:
         """Ingest and flood a faucet arrival or a pulled transaction new to ``node``
@@ -795,64 +797,66 @@ class _Sim:
         key = advert.key()
         node.pull_log.setdefault(key, [(self.now, sent.val)])
         if node.proto.registry.register(advert) is RegistrationResult.REGISTERED:  # first arrival wins
-            missing = missing_txs(advert, node.tx_store)
-            if missing:
-                self._request_txs(node, missing, sent.src, key)
-        for pend in [p for p in node.pending.values() if p.key == key]:
-            # the seed sender already validated the block; pull stragglers from it
-            self._try_seed(node, pend, request_from=pend.sent.src)
+            self._request_txs(node, missing_txs(advert, node.tx_store), sent.src, key)
+        # the seed sender already validated the block; pull stragglers from it
+        self._wake(node, key, pull=True)
 
     def _handle_relayed_block(self, node: _Node, msg: BlockSeed | Block, sent: LogRecord) -> None:
         # the oid is the block hash, and a node marks it seen before accepting
         # the block, so the chain cannot know it yet
-        bh = header_hash(msg.header)
-        parent = msg.header.prev_block_hash
-        pend = _PendingSeed(msg, sent, bh, (msg.coinbase.coinbase_address, parent))
+        pend = _PendingSeed(msg, sent)
         # a seed parks before its first try; a full block only while its parent is unknown
-        if type(msg) is BlockSeed or not node.proto.chain.knows(parent):
-            self._add_pending(node, pend)
-        self._try_seed(node, pend, request_from=sent.src)
+        if type(msg) is BlockSeed or not node.proto.chain.knows(msg.header.prev_block_hash):
+            pending = node.pending
+            if len(pending) >= self.sc.pending_seed_buffer:
+                pending.pop(next(iter(pending)))  # FIFO eviction
+            pending[header_hash(msg.header)] = pend
+        self._try_seed(node, pend, pull=True)
 
-    def _add_pending(self, node: _Node, pend: _PendingSeed) -> None:
-        if len(node.pending) >= self.sc.pending_seed_buffer:
-            node.pending.pop(next(iter(node.pending)))  # FIFO eviction
-        node.pending[pend.block_h] = pend
+    def _wake(self, node: _Node, arrived: Hash | tuple[Address, Hash], pull: bool = False) -> None:
+        """Retry, in parking order, every parked entry whose last try lacked ``arrived``:
+        an advert key, a transaction id or a block hash."""
+        for pend in [p for p in node.pending.values() if arrived in p.needs]:
+            self._try_seed(node, pend, pull)
 
-    def _try_seed(self, node: _Node, pend: _PendingSeed, request_from: int | None = None) -> None:
+    def _try_seed(self, node: _Node, pend: _PendingSeed, pull: bool) -> None:
         """Validate, accept and forward a relayed seed or full block as far as knowledge allows."""
         proto = node.proto
         msg = pend.msg
         sent = pend.sent
+        header = msg.header
         if type(msg) is Block:
             block = msg
             verdict = validate_block_baseline(block, proto.chain)
         else:
+            key = (msg.coinbase_address, header.prev_block_hash)
             rec = reconstruct_block(msg, proto.registry, node.tx_store)
-            pend.missing = frozenset(rec.missing)
             if not rec.ok:
-                if rec.missing and request_from is not None:
-                    # the seed sender validated the block, so it has every tx
-                    self._request_txs(node, rec.missing, request_from, pend.key, force=True)
-                return  # still waiting for the advert or transactions
+                if rec.missing:
+                    pend.needs = frozenset(rec.missing)
+                    if pull:  # the seed sender validated the block, so it has every tx
+                        self._request_txs(node, rec.missing, sent.src, key, force=True)
+                else:
+                    pend.needs = (key,)
+                return
             block = rec.block
             verdict = validate_block(block, proto.registry, proto.chain)
         if verdict.reason is Reason.WRONG_PREV_HASH:
-            return  # parent still in flight; retried on the next acceptance
-        node.pending.pop(pend.block_h, None)
+            pend.needs = (header.prev_block_hash,)
+            return
+        bh = header_hash(header)
+        node.pending.pop(bh, None)
         if not verdict.accepted:
             return
         pb = sent.val
         if sent.msg == "seed":
-            pb += self._post_find_extras(node, pend)
-        self._accept(node, block, pend.block_h, pb)
+            # advert and pull bytes that had to move after the block was found
+            found = self.find_time[bh]
+            pb += sum(size for t, size in node.pull_log.get(key, ()) if t >= found)
+        self._accept(node, block, bh, pb)
         # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
         self._flood(node, msg, sent.msg, sent.oid, sent.src, sent.val + sent.size, sent.size)
-
-    def _post_find_extras(self, node: _Node, pend: _PendingSeed) -> float:
-        """Advert and pull bytes that had to move after the seed's block was found."""
-        found = self.find_time[pend.block_h]
-        return sum(size for t, size in node.pull_log.get(pend.key, ()) if t >= found)
 
     def _handle_tx_request(self, node: _Node, req: TxRequest, requester: int) -> None:
         store = node.tx_store
@@ -885,11 +889,6 @@ class _Sim:
         node.pull_log[key].append((self.now + self.proc, float(size)))
         self._send(node.nid, target, node.neighbors[target], req, "txreq", "", 0.0, size)
 
-    def _retry_pending_for_tx(self, node: _Node, h: Hash) -> None:
-        # a seed advances on a new transaction only if it lacked that one
-        for pend in [p for p in node.pending.values() if h in p.missing]:
-            self._try_seed(node, pend)
-
     def _accept(self, node: _Node, block: Block, bh: Hash, pb: float) -> None:
         self.log.records.append(
             LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, bh.short(), "", pb)
@@ -913,7 +912,4 @@ class _Sim:
                 )
             )
             self._restart_mining(node)
-        # a newly known block may unblock seeds waiting on their parent
-        for pend in list(node.pending.values()):
-            if pend.msg.header.prev_block_hash == bh:
-                self._try_seed(node, pend)
+        self._wake(node, bh)

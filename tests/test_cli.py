@@ -190,6 +190,13 @@ class TestSweepAndCompare:
         )
         assert code == EXIT_SCENARIO
 
+    def test_sweep_checks_every_value_before_the_first_run(self, tiny_scenario, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(tiny_scenario), "--out", str(out), "--sweep", "tx_rate=1,-1"]
+        assert main(argv) == EXIT_SCENARIO
+        assert "tx_rate: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_unknown_field_rejected(self, tiny_scenario, tmp_path):
         code = main(
             [
@@ -278,6 +285,15 @@ class TestValidateAndExitCodes:
             for kind, value in (("float", 3.0), ("bool", True))
         ]
         + [
+            # the seed only labels rng streams, so any value would run
+            pytest.param("seed", value, "must be an integer", id=f"seed-{kind}")
+            for kind, value in (("str", "abc"), ("float", 1.5), ("bool", True), ("null", None), ("list", [1]))
+        ]
+        + [
+            pytest.param("schema_version", value, "must be 1", id=f"schema_version-{kind}")
+            for kind, value in (("7", 7), ("bool", True), ("str", "1"))
+        ]
+        + [
             pytest.param(field, value, "must be a finite number", id=f"{field}-{kind}")
             for field in ("tx_rate", "horizon_seconds", "processing_delay_seconds")
             for kind, value in (("str", "10"), ("bool", True), ("null", None), ("inf", float("inf")))
@@ -350,6 +366,7 @@ class TestValidateAndExitCodes:
         assert exc.value.field == field
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
+        assert main(["validate-scenario", "--scenario", str(path)]) == EXIT_SCENARIO
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
         assert f"{field}: {message}" in capsys.readouterr().err
 

@@ -531,43 +531,62 @@ class _CountingSim(_Sim):
         super().__init__(sc)
         self.tries = 0
 
-    def _try_seed(self, node, pend, request_from=None):
+    def _try_seed(self, node, pend, pull):
         self.tries += 1
-        super()._try_seed(node, pend, request_from)
+        super()._try_seed(node, pend, pull)
 
 
 class _FullScanSim(_CountingSim):
-    """Reference: every new transaction retries every parked seed."""
+    """Reference, the rule that ignores what a parked entry lacked: an advert
+    retries every parked seed under its key, pulling from the seed's sender;
+    an accepted block retries every entry that is its child; a new
+    transaction retries every parked entry."""
 
     def __init__(self, sc: Scenario) -> None:
         super().__init__(sc)
         self.tx_tries = 0
         self.tx_advances = 0  # tx-triggered tries that resolved their seed
 
-    def _retry_pending_for_tx(self, node, h):
-        for pend in list(node.pending.values()):
-            self.tx_tries += 1
-            self._try_seed(node, pend)
-            self.tx_advances += pend.block_h not in node.pending
+    def _wake(self, node, arrived, pull=False):
+        parked = list(node.pending.items())
+        is_tx = False
+        if pull:  # an advert key
+            parked = [(h, p) for h, p in parked if (p.msg.coinbase_address, p.msg.header.prev_block_hash) == arrived]
+        elif node.proto.chain.knows(arrived):  # an accepted block
+            parked = [(h, p) for h, p in parked if p.msg.header.prev_block_hash == arrived]
+        else:
+            is_tx = True
+        for h, pend in parked:
+            if node.pending.get(h) is not pend:
+                continue  # resolved or evicted by an earlier try of this scan
+            self._try_seed(node, pend, pull)
+            if is_tx:
+                self.tx_tries += 1
+                self.tx_advances += h not in node.pending
 
 
 class TestPendingSeedRetryOracle:
-    """Retrying a parked seed only on a transaction it lacked changes no log line."""
+    """Retrying a parked entry only when what its last try lacked arrives changes no log line."""
 
     @pytest.mark.parametrize(
-        "strategy, bandwidth, txs_unblock",
+        "strategy, bandwidth, delay, txs_unblock",
         [
             # on fast links a transaction always lands before a seed naming
             # it: ADVERT's tx-triggered retries all find the seed unchanged
             # (LATE makes none there)
-            ("ADVERT_PROTOCOL", 1_000_000.0, False),
+            ("ADVERT_PROTOCOL", 1_000_000.0, 0.0, False),
             # on thin links the 300 B seed outruns the 500 B transactions it names
-            ("ADVERT_PROTOCOL", 2_000.0, True),
-            ("LATE_ADVERT", 2_000.0, True),
+            ("ADVERT_PROTOCOL", 2_000.0, 0.0, True),
+            ("LATE_ADVERT", 2_000.0, 0.0, True),
+            # full blocks park only on their parent; no transaction unblocks one
+            ("BASELINE_FULL_BLOCK", 2_000.0, 0.0, False),
+            # post-find pulls reach the critical path; every transaction
+            # still lands before the seed naming it
+            ("ADVERT_PROTOCOL", 20_000.0, 0.01, False),
         ],
-        ids=["ADVERT-fast-links", "ADVERT-thin-links", "LATE-thin-links"],
+        ids=["ADVERT-fast-links", "ADVERT-thin-links", "LATE-thin-links", "BASELINE-thin-links", "ADVERT-delay"],
     )
-    def test_filtered_retries_match_full_scan(self, strategy, bandwidth, txs_unblock):
+    def test_filtered_retries_match_full_scan(self, strategy, bandwidth, delay, txs_unblock):
         # forky and cold: stale rate near 0.5, so seeds park on their
         # parents and adverts
         sc = Scenario(
@@ -582,6 +601,7 @@ class TestPendingSeedRetryOracle:
             relay_strategy=RelayStrategy(strategy),
             link_latency={"kind": "uniform", "low": 0.05, "high": 0.5},
             link_bandwidth={"kind": "constant", "value": bandwidth},
+            processing_delay_seconds=delay,
         )
         ref = _FullScanSim(sc)
         ref_lines = list(ref.run().lines())
