@@ -221,6 +221,8 @@ class Mempool:
 
 
 _SPENT = object()  # tombstone in UtxoView overlays
+# a block's effect on its parent's UTXO set: (spent, created) (outpoint, entry) pairs
+Delta = tuple[tuple[tuple[Outpoint, tuple[Address, int]], ...], tuple[tuple[Outpoint, tuple[Address, int]], ...]]
 
 
 class UtxoView:
@@ -273,21 +275,22 @@ class ChainState:
     """Validated history: known blocks, heights, and the UTXO set at the tip.
 
     Tip selection is longest chain; ties keep the incumbent (first
-    received wins). Undo data per applied block makes shallow reorgs and
-    fork-point UTXO views cheap.
+    received wins). ``deltas`` maps each known block's hash to its effect
+    on its parent's UTXO set, ``(spent, created)`` tuples of (outpoint,
+    entry) pairs; applying, undoing and fork-point UTXO views replay it.
 
-    ``checked`` maps a header hash to the Merkle leaves of a block whose
+    ``checked`` maps a header hash to ``(leaves, delta)`` for a block whose
     content passed the Merkle and transaction-validity checks (see
-    ``_check_content``). Chains may share one map only if they start from
-    the same genesis hash and UTXO set, as the nodes of one network do;
-    by default a chain keeps its own.
+    ``_check_content``): its Merkle leaves and its delta. Chains may share
+    one map only if they start from the same genesis hash and UTXO set, as
+    the nodes of one network do; by default a chain keeps its own.
     """
 
     def __init__(
         self,
         genesis_hash: Hash,
         genesis_utxo: dict[Outpoint, tuple[Address, int]],
-        checked: dict[Hash, tuple[Hash, ...]] | None = None,
+        checked: dict[Hash, tuple[tuple[Hash, ...], Delta]] | None = None,
     ):
         self.genesis_hash = Hash(genesis_hash)
         self.checked = {} if checked is None else checked
@@ -296,8 +299,7 @@ class ChainState:
         self.known_blocks: dict[Hash, Block | None] = {self.genesis_hash: None}
         self.heights: dict[Hash, int] = {self.genesis_hash: 0}
         self.utxo: dict[Outpoint, tuple[Address, int]] = dict(genesis_utxo)
-        # undo per applied block: (spent entries, created outpoints)
-        self._undo: dict[Hash, tuple[tuple[tuple[Outpoint, tuple[Address, int]], ...], tuple[Outpoint, ...]]] = {}
+        self.deltas: dict[Hash, Delta] = {}
 
     def knows(self, h: Hash) -> bool:
         return h in self.known_blocks
@@ -310,20 +312,16 @@ class ChainState:
             return UtxoView(self.utxo)
         overrides: dict = {}
         back, forward = self._paths_between(self.tip_hash, block_h)
-        for h in back:  # roll the tip back; tip-chain blocks always have undo data
-            spent, created = self._undo[h]
-            for op in created:
+        for h in back:  # roll the tip back
+            spent, created = self.deltas[h]
+            for op, _ in created:
                 overrides[op] = _SPENT
-            for op, entry in spent:
-                overrides[op] = entry
+            overrides.update(spent)
         for h in forward:  # then walk out to the fork block
-            blk = self.known_blocks[h]
-            assert blk is not None
-            spent_ops, created = _block_deltas(blk)
-            for op in spent_ops:
+            spent, created = self.deltas[h]
+            for op, _ in spent:
                 overrides[op] = _SPENT
-            for op, entry in created:
-                overrides[op] = entry
+            overrides.update(created)
         return UtxoView(self.utxo, overrides)
 
     def _paths_between(self, frm: Hash, to: Hash) -> tuple[list[Hash], list[Hash]]:
@@ -353,7 +351,9 @@ class ChainState:
         """Record a validated block; adopt it if it makes the longest chain.
 
         The caller must have validated the block (including against its
-        parent's UTXO view). Equal-length forks never displace the tip.
+        parent's UTXO view). Its delta comes from ``checked`` when
+        validation recorded one, else from the parent's view. Equal-length
+        forks never displace the tip.
         """
         h = block_hash(block)
         parent = block.header.prev_block_hash
@@ -361,62 +361,56 @@ class ChainState:
             raise ValueError("parent of added block is unknown")
         if h in self.known_blocks:
             return AddOutcome("side")
+        rec = self.checked.get(h)
+        self.deltas[h] = rec[1] if rec is not None else _block_delta(block, self.utxo_view_at(parent))
         height = self.heights[parent] + 1
         self.known_blocks[h] = block
         self.heights[h] = height
 
         if parent == self.tip_hash:
-            self._apply(block, h)
+            self._apply(h)
             self.tip_hash = h
             self.height = height
             return AddOutcome("extended", added=(block,))
         if height > self.height:
-            return self._reorg_to(block, h)
+            return self._reorg_to(h)
         return AddOutcome("side")
 
-    def _reorg_to(self, block: Block, h: Hash) -> AddOutcome:
+    def _reorg_to(self, h: Hash) -> AddOutcome:
         back, forward = self._paths_between(self.tip_hash, h)
-        removed = []
         for bh in back:
-            blk = self.known_blocks[bh]
-            assert blk is not None
             self._unapply(bh)
-            removed.append(blk)
-        added = []
         for fh in forward:
-            blk = self.known_blocks[fh]
-            assert blk is not None
-            self._apply(blk, fh)
-            added.append(blk)
+            self._apply(fh)
         self.tip_hash = h
         self.height = self.heights[h]
-        return AddOutcome("reorged", removed=tuple(removed), added=tuple(added))
+        blocks = self.known_blocks
+        return AddOutcome("reorged", tuple(blocks[bh] for bh in back), tuple(blocks[fh] for fh in forward))
 
-    def _apply(self, block: Block, h: Hash) -> None:
-        spent_ops, created = _block_deltas(block)
-        spent_entries = tuple((op, self.utxo.pop(op)) for op in spent_ops)
-        for op, entry in created:
-            self.utxo[op] = entry
-        self._undo[h] = (spent_entries, tuple(op for op, _ in created))
+    def _apply(self, h: Hash) -> None:
+        spent, created = self.deltas[h]
+        for op, _ in spent:
+            del self.utxo[op]
+        self.utxo.update(created)
 
     def _unapply(self, h: Hash) -> None:
-        spent, created = self._undo.pop(h)
-        for op in created:
+        spent, created = self.deltas[h]
+        for op, _ in created:
             del self.utxo[op]
-        for op, entry in spent:
-            self.utxo[op] = entry
+        self.utxo.update(spent)
 
 
-def _block_deltas(block: Block):
-    """(outpoints the block spends, (outpoint, entry) pairs it creates)."""
-    spent = [op for tx in block.transactions for op in tx.inputs]
-    cb_id = txid(block.coinbase)
-    created = [((cb_id, 0), (block.coinbase.coinbase_address, block.coinbase.reward))]
+def _block_delta(block: Block, view: UtxoView) -> Delta:
+    """The block's effect on ``view``, its parent's UTXO set: the (outpoint,
+    entry) pairs it spends, then those it creates."""
+    get = view.get
+    spent = tuple((op, get(op)) for tx in block.transactions for op in tx.inputs)
+    cb = block.coinbase
+    created = [((txid(cb), 0), (cb.coinbase_address, cb.reward))]
     for tx in block.transactions:
         h = txid(tx)
-        for i, (addr, value) in enumerate(tx.outputs):
-            created.append(((h, i), (addr, value)))
-    return spent, created
+        created.extend(((h, i), out) for i, out in enumerate(tx.outputs))
+    return spent, tuple(created)
 
 
 # --- advert construction ------------------------------------------------------
@@ -534,11 +528,11 @@ def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | N
     """Steps 3-7 of the ladder; step 5 only when an advertised list is given.
 
     Steps 6 and 7 run once per network: a block whose header hash and Merkle
-    leaves equal an entry of ``chain.checked`` passed them already. Equal
-    leaves mean equal transactions (a txid covers every field), and the
-    UTXO view at a known parent depends only on the parent's ancestry,
-    which its hash fixes, and on the genesis the sharing chains have in
-    common.
+    leaves equal an entry of ``chain.checked`` passed them already, and the
+    entry's delta is its delta at every sharing chain. Equal leaves mean
+    equal transactions (a txid covers every field), and the UTXO view at a
+    known parent depends only on the parent's ancestry, which its hash
+    fixes, and on the genesis the sharing chains have in common.
     """
     header = block.header
     if not chain.knows(header.prev_block_hash):
@@ -549,26 +543,30 @@ def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | N
     if listed is not None and leaves[1:] != listed:
         return ValidationVerdict(Reason.TX_LIST_MISMATCH)
     h = header_hash(header)
-    if chain.checked.get(h) != leaves:
+    rec = chain.checked.get(h)
+    if rec is None or rec[0] != leaves:
         if merkle_root(leaves) != header.merkle_root:
             return ValidationVerdict(Reason.MERKLE_MISMATCH)
-        if not _txs_valid_against_parent(block, chain):
+        delta = _txs_valid_against_parent(block, chain)
+        if delta is None:
             return ValidationVerdict(Reason.INVALID_TX)
-        chain.checked[h] = leaves
+        chain.checked[h] = (leaves, delta)
     return ValidationVerdict(Reason.OK)
 
 
-def _txs_valid_against_parent(block: Block, chain: ChainState) -> bool:
+def _txs_valid_against_parent(block: Block, chain: ChainState) -> Delta | None:
+    """The block's delta if every transaction is valid against the parent's
+    UTXO view with no double spend inside the block, else None."""
     view = chain.utxo_view_at(block.header.prev_block_hash)
     seen: set[Outpoint] = set()
     for tx in block.transactions:
         if not tx_valid(tx, view):
-            return False
+            return None
         for op in tx.inputs:
             if op in seen:
-                return False
+                return None
             seen.add(op)
-    return True
+    return _block_delta(block, view)
 
 
 # --- node-level acceptance ----------------------------------------------------
@@ -594,16 +592,15 @@ def on_block_accepted(state: NodeProtocolState, block: Block) -> AddOutcome:
     cases are symmetric; choosing the next advert is the caller's concern.
     """
     outcome = state.chain.add_block(block)
-    if outcome.kind == "extended":
-        state.mempool.apply_block(block)
-    elif outcome.kind == "reorged":
-        for blk in outcome.added:
-            state.mempool.apply_block(blk)
-        view = UtxoView(state.chain.utxo)
+    pool = state.mempool
+    for blk in outcome.added:
+        pool.apply_block(blk)
+    if outcome.removed:
+        utxo = state.chain.utxo
         for blk in outcome.removed:
             for tx in blk.transactions:
-                state.mempool.add(tx, view)
-        state.mempool.revalidate(view)
+                pool.add(tx, utxo)
+        pool.revalidate(utxo)
     if outcome.tip_changed:
         state.registry.evict_stale(state.chain.heights, state.chain.height)
     return outcome

@@ -893,8 +893,6 @@ class _Sim:
         self.log.records.append(
             LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, bh.short(), "", pb)
         )
-        for tx in block.transactions:
-            node.tx_store.setdefault(txid(tx), tx)
         proto = node.proto
         if on_block_accepted(proto, block).tip_changed:
             self.log.records.append(

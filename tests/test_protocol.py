@@ -482,6 +482,120 @@ class TestSharedContentRecord:
             assert validate_block_baseline(bundle.block, chain).reason is Reason.INVALID_TX
         assert chain.checked == {}
 
+    def test_delta_computed_once_per_network(self, monkeypatch):
+        import advertsim.protocol as protocol
+
+        rng = random.Random(44)
+        bundle = advertised_block(rng, bits=4, ntx=5)
+        checked, a, b = self._network(bundle)
+        calls = []
+        delta = protocol._block_delta
+        monkeypatch.setattr(protocol, "_block_delta", lambda blk, view: calls.append(blk) or delta(blk, view))
+        for chain in (a, b):
+            assert validate_block(bundle.block, bundle.registry, chain).accepted
+            assert chain.add_block(bundle.block).kind == "extended"
+        assert len(calls) == 1
+        h = block_hash(bundle.block)
+        assert a.deltas[h] is b.deltas[h] is checked[h][1]
+        # a block absent from the record (a miner's own) computes its delta once, at the add
+        lone = ChainState(bundle.genesis, bundle.chain.utxo)
+        assert lone.add_block(bundle.block).kind == "extended"
+        assert len(calls) == 2
+        assert lone.checked == {}
+        assert lone.utxo == a.utxo == b.utxo
+
+
+class TestUtxoReplayOracle:
+    """Chains that share one content record hold, after every add, the UTXO
+    set that replaying the tip's ancestry from genesis gives, and view every
+    known block as its own replay does, whatever order the blocks arrive in."""
+
+    @classmethod
+    def _tree(cls, rng: random.Random, size: int):
+        """A random block tree over ``size`` blocks, each spending faucet outputs
+        and outputs its own branch created; returns (genesis, faucet, blocks)."""
+        genesis = rand_hash(rng)
+        faucet = {(rand_hash(rng), 0): (rand_address(rng), rng.randrange(10, 1000)) for _ in range(8)}
+        blocks: dict = {}
+        for _ in range(size):
+            parent = rng.choice([genesis, *blocks])
+            unspent = sorted(cls._replay(genesis, faucet, blocks, parent).items())
+            rng.shuffle(unspent)
+            txs = []
+            while unspent and rng.random() < 0.7:
+                spent = [unspent.pop() for _ in range(min(len(unspent), rng.randint(1, 2)))]
+                total = sum(entry[1] for _, entry in spent)
+                cut = rng.randint(0, total)
+                outputs = ((rand_address(rng), cut), (rand_address(rng), total - cut))
+                txs.append(Transaction(inputs=tuple(op for op, _ in spent), outputs=outputs[: rng.randint(1, 2)]))
+            block = mine(
+                BlockTemplate(
+                    prev_block_hash=parent,
+                    coinbase=CoinbaseTransaction(coinbase_address=rand_address(rng), reward=50),
+                    transactions=tuple(txs),
+                    difficulty_target=CompactTarget(0),
+                ),
+                MINE_BUDGET,
+            )
+            blocks[block_hash(block)] = block
+        return genesis, faucet, blocks
+
+    @staticmethod
+    def _replay(genesis, faucet, blocks, h) -> dict:
+        """The UTXO set at ``h``: the faucet, then each ancestor's spends and outputs."""
+        path = []
+        while h != genesis:
+            path.append(blocks[h])
+            h = blocks[h].header.prev_block_hash
+        utxo = dict(faucet)
+        for block in reversed(path):
+            for tx in block.transactions:
+                for op in tx.inputs:
+                    del utxo[op]
+            cb = block.coinbase
+            utxo[(txid(cb), 0)] = (cb.coinbase_address, cb.reward)
+            for tx in block.transactions:
+                for i, out in enumerate(tx.outputs):
+                    utxo[(txid(tx), i)] = out
+        return utxo
+
+    @staticmethod
+    def _arrival_order(rng: random.Random, genesis, blocks) -> list:
+        """A random order in which every block comes after its parent."""
+        order, ready = [], [h for h, blk in blocks.items() if blk.header.prev_block_hash == genesis]
+        while ready:
+            h = ready.pop(rng.randrange(len(ready)))
+            order.append(h)
+            ready.extend(c for c, blk in blocks.items() if blk.header.prev_block_hash == h)
+        return order
+
+    def _feed(self, rng: random.Random) -> int:
+        """Feed one random tree to two chains in two orders, checking every add;
+        returns the number of reorgs."""
+        genesis, faucet, blocks = self._tree(rng, rng.randint(4, 12))
+        touched = set(faucet)
+        for h in blocks:
+            touched |= set(self._replay(genesis, faucet, blocks, h))
+        checked: dict = {}
+        chains = [ChainState(genesis, faucet, checked) for _ in range(2)]
+        orders = [self._arrival_order(rng, genesis, blocks) for _ in chains]
+        reorgs = 0
+        for step in zip(*orders):  # the chains take turns, so either may validate a block first
+            for chain, h in zip(chains, step):
+                assert validate_block_baseline(blocks[h], chain).accepted
+                reorgs += chain.add_block(blocks[h]).kind == "reorged"
+                assert chain.utxo == self._replay(genesis, faucet, blocks, chain.tip_hash)
+                for known in chain.known_blocks:
+                    view = chain.utxo_view_at(known)
+                    expected = self._replay(genesis, faucet, blocks, known)
+                    assert all(view.get(op) == expected.get(op) for op in touched)
+        assert len(checked) == len(blocks)
+        return reorgs
+
+    def test_utxo_matches_replay_under_two_arrival_orders(self):
+        reorgs = sum(self._feed(random.Random(f"utxo-oracle/{seed}")) for seed in range(12))
+        assert reorgs > 0  # the trees fork, so tips move across branches
+
 
 class TestOnBlockAccepted:
     def _state(self, bundle):

@@ -370,6 +370,20 @@ class TestContentCheckedOncePerNetwork:
         assert accepted > 4 * found  # most blocks are checked at many nodes
         assert found <= len(calls) <= 2 * found
 
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_block_delta_at_most_twice_per_found_block(self, strategy, monkeypatch):
+        """Once at the miner's own add, once at the first node that validates the block."""
+        import advertsim.protocol as protocol
+
+        calls = []
+        real = protocol._block_delta
+        monkeypatch.setattr(protocol, "_block_delta", lambda block, view: calls.append(1) or real(block, view))
+        data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        data.update(horizon_seconds=20.0, relay_strategy=strategy)
+        log = run_scenario(Scenario.from_dict(data))
+        found = sum(r.kind == "block_found" for r in log.records)
+        assert found <= len(calls) <= 2 * found
+
 
 class TestDeterminismAndCausality:
     @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
