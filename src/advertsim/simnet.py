@@ -22,13 +22,15 @@ block passes full validation.
 
 from __future__ import annotations
 
+import gc
 import hashlib
-import heapq
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -259,6 +261,12 @@ class Scenario:
         name = self.name
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ScenarioError("name", "must be a non-empty string that is one path component")
+        # the simulator tests the strategy by identity, so an equal string would
+        # run a mix of the three
+        if not isinstance(self.relay_strategy, RelayStrategy):
+            raise ScenarioError(
+                "relay_strategy", f"must be a RelayStrategy member, one of {[s.value for s in RelayStrategy]}"
+            )
         _validate_dist("link_latency", self.link_latency, allow_zero=True)
         _validate_dist("link_bandwidth", self.link_bandwidth, allow_zero=False)
         # raises ScenarioError on malformed or disconnected topologies
@@ -515,6 +523,29 @@ def run_scenario(scenario: Scenario) -> EventLog:
     return _Sim(scenario).run()
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the ``with`` body, then restore
+    the caller's setting and collect once.
+
+    A run makes no reference cycles, so the collector frees nothing during
+    it; but a log record is a tuple subclass, which CPython never untracks,
+    so each full collection would walk every record of the growing log.
+    Pause for the log's whole lifetime (run, write, summarize, drop): a
+    pause around the run alone moves a pass over every record to the
+    caller. The exit collection frees whatever cycles the body did make;
+    without it, peak memory creeps over repeated in-process commands.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect()
+
+
 class _Sim:
     def __init__(self, sc: Scenario) -> None:
         edges = sc.validate()
@@ -599,28 +630,36 @@ class _Sim:
             nominal_size_bytes=self.sc.tx_size_bytes,
         )
 
-    def _schedule(self, t: float, kind: str, payload) -> None:
+    def _schedule(self, t: float, kind: str, a=None, b=None) -> None:
+        """Queue a ``found`` or ``tx_arrival`` event; ``_send`` queues deliveries."""
         self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
+        heappush(self.heap, (t, self.seq, kind, a, b))
 
     def _send(
-        self, src: int, dst: int, link: Link, msg, family: str, oid: str, cpb: float, size: int
+        self, node: _Node, msg, family: str, oid: str, cpb: float, size: int, exclude: int = -1, to: int = -1
     ) -> None:
-        """Send ``msg`` over ``link``; ``size`` is its modelled size, computed once
-        where the message was made."""
-        self.mid += 1
-        t_send = self.now + self.proc
-        sent = _new_record(LogRecord, (t_send, "send", src, dst, family, size, self.mid, oid, "", cpb))
-        self.log.records.append(sent)
-        self._schedule(t_send + link.delay(size), "deliver", (sent, msg))
+        """Send ``msg`` from ``node`` to neighbour ``to``, or flood it to every
+        neighbour but ``exclude``.
 
-    def _flood(
-        self, node: _Node, msg, family: str, oid: str, exclude: int | None, cpb: float, size: int
-    ) -> None:
+        ``size`` is its modelled size, computed once where the message was
+        made; ``cpb`` its critical-path bytes so far. Each copy gets a
+        ``send`` record and a ``deliver`` event ``(arrival, seq, "deliver",
+        send record, msg)``.
+        """
+        links = node.neighbors.items() if to < 0 else ((to, node.neighbors[to]),)
         src = node.nid
-        for nb, link in node.neighbors.items():
-            if nb != exclude:
-                self._send(src, nb, link, msg, family, oid, cpb, size)
+        t_send = self.now + self.proc
+        records = self.log.records
+        heap = self.heap
+        mid, seq = self.mid, self.seq
+        for dst, link in links:
+            if dst != exclude:
+                mid += 1
+                seq += 1
+                sent = _new_record(LogRecord, (t_send, "send", src, dst, family, size, mid, oid, "", cpb))
+                records.append(sent)
+                heappush(heap, (t_send + link.delay(size), seq, "deliver", sent, msg))
+        self.mid, self.seq = mid, seq
 
     # -- lifecycle -------------------------------------------------------
 
@@ -629,16 +668,24 @@ class _Sim:
         for node in self.nodes:
             self._restart_mining(node)
         if sc.tx_rate > 0:
-            self._schedule(self.arrivals_rng.expovariate(sc.tx_rate), "tx_arrival", None)
+            self._schedule(self.arrivals_rng.expovariate(sc.tx_rate), "tx_arrival")
         horizon = sc.horizon_seconds
         heap = self.heap
+        records = self.log.records
+        nodes = self.nodes
         while heap and heap[0][0] <= horizon:
-            t, _, kind, payload = heapq.heappop(heap)
+            t, _, kind, a, b = heappop(heap)
             self.now = t
-            if kind == "deliver":
-                self._on_deliver(*payload)
-            elif kind == "found":
-                self._on_found(*payload)
+            if kind == "deliver":  # a: the send record, b: the message
+                _, _, src, dst, family, size, mid, oid, ref, val = a
+                records.append(_new_record(LogRecord, (t, "deliver", src, dst, family, size, mid, oid, ref, val)))
+                node = nodes[dst]
+                # only a node's first copy of gossip is handled; txreq and
+                # txresp carry the oid "", which no seen set holds
+                if oid not in node.seen:
+                    self._on_deliver(node, a, b)
+            elif kind == "found":  # a: the finder, b: its mining session
+                self._on_found(a, b)
             else:
                 self._on_tx_arrival()
         return self.log
@@ -665,7 +712,7 @@ class _Sim:
         oid = gossip_dedup_key(advert).short()
         node.seen.add(oid)
         size = serialized_size(advert)
-        self._flood(node, advert, "advert", oid, None, float(size), size)
+        self._send(node, advert, "advert", oid, float(size), size)
 
     def _restart_mining(self, node: _Node) -> None:
         node.session += 1
@@ -676,7 +723,7 @@ class _Sim:
         dt = sample_mining_time(
             HashRate(node.rate), CompactTarget(self.sc.difficulty_bits), node.mining_rng
         )
-        self._schedule(self.now + dt, "found", (node.nid, node.session))
+        self._schedule(self.now + dt, "found", node.nid, node.session)
 
     def _template_from(self, node: _Node, advert: Advert) -> BlockTemplate:
         mempool = node.proto.mempool
@@ -740,7 +787,7 @@ class _Sim:
             msg = make_block_seed(block)
             family, size = "seed", serialized_size(msg)
         node.seen.add(oid)
-        self._flood(node, msg, family, oid, None, float(size), size)
+        self._send(node, msg, family, oid, float(size), size)
         self._accept(node, block, bh, 0.0)
 
     def _on_tx_arrival(self) -> None:
@@ -756,25 +803,24 @@ class _Sim:
             LogRecord(self.now, "tx_arrival", origin.nid, -1, "", tx.nominal_size_bytes, -1, h.short(), "", 0.0)
         )
         self._relay_new_tx(origin, tx)
-        self._schedule(self.now + rng.expovariate(sc.tx_rate), "tx_arrival", None)
+        self._schedule(self.now + rng.expovariate(sc.tx_rate), "tx_arrival")
 
-    def _on_deliver(self, sent: LogRecord, msg) -> None:
-        """Log the delivery of ``msg`` and handle it; ``sent`` is its ``send`` record."""
-        self.log.records.append(_new_record(LogRecord, (self.now, "deliver") + sent[2:]))
-        node = self.nodes[sent.dst]
+    def _on_deliver(self, node: _Node, sent: LogRecord, msg) -> None:
+        """Handle ``msg`` at ``node``: a pull message, or the first copy of gossip.
+        ``sent`` is its ``send`` record."""
         family, oid = sent.msg, sent.oid
         if family == "txreq":
             self._handle_tx_request(node, msg, sent.src)
         elif family == "txresp":
             self._handle_tx_response(node, msg)
-        elif oid not in node.seen:  # gossip: only a node's first copy is handled
+        else:
             node.seen.add(oid)
             if family == "tx":
                 self._ingest_tx(node, msg)
-                self._flood(node, msg, "tx", oid, sent.src, 0.0, sent.size)
+                self._send(node, msg, "tx", oid, 0.0, sent.size, sent.src)
             elif family == "advert":
                 self._handle_advert(node, msg, sent)
-                self._flood(node, msg, "advert", oid, sent.src, sent.val + sent.size, sent.size)
+                self._send(node, msg, "advert", oid, sent.val + sent.size, sent.size, sent.src)
             else:
                 self._handle_relayed_block(node, msg, sent)
 
@@ -791,7 +837,7 @@ class _Sim:
         oid = gossip_dedup_key(tx).short()
         node.seen.add(oid)
         self._ingest_tx(node, tx)
-        self._flood(node, tx, "tx", oid, None, 0.0, serialized_size(tx))
+        self._send(node, tx, "tx", oid, 0.0, serialized_size(tx))
 
     def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
@@ -856,7 +902,7 @@ class _Sim:
         self._accept(node, block, bh, pb)
         # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
-        self._flood(node, msg, sent.msg, sent.oid, sent.src, sent.val + sent.size, sent.size)
+        self._send(node, msg, sent.msg, sent.oid, sent.val + sent.size, sent.size, sent.src)
 
     def _handle_tx_request(self, node: _Node, req: TxRequest, requester: int) -> None:
         store = node.tx_store
@@ -864,7 +910,7 @@ class _Sim:
         if have:
             resp = TxResponse(have)
             size = serialized_size(resp)
-            self._send(node.nid, requester, node.neighbors[requester], resp, "txresp", "", 0.0, size)
+            self._send(node, resp, "txresp", "", 0.0, size, to=requester)
 
     def _handle_tx_response(self, node: _Node, resp: TxResponse) -> None:
         for tx in resp.txs:
@@ -887,7 +933,7 @@ class _Sim:
             node.req_map[h] = key
         # the advert's arrival opened this ledger: a pull needs the registered advert
         node.pull_log[key].append((self.now + self.proc, float(size)))
-        self._send(node.nid, target, node.neighbors[target], req, "txreq", "", 0.0, size)
+        self._send(node, req, "txreq", "", 0.0, size, to=target)
 
     def _accept(self, node: _Node, block: Block, bh: Hash, pb: float) -> None:
         self.log.records.append(

@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 import random
 
+import pytest
+
 from advertsim.core import (
     Address,
     CoinbaseTransaction,
@@ -18,8 +20,16 @@ from advertsim.protocol import (
     Mempool,
     make_advert,
 )
+from advertsim.simnet import collector_paused
 
 MINE_BUDGET = MiningBudget(1 << 24)
+
+
+@pytest.fixture(autouse=True)
+def _collector_paused():
+    """Run each test with the cyclic collector paused, as the CLI runs a command."""
+    with collector_paused():
+        yield
 
 
 def rand_hash(rng: random.Random) -> Hash:

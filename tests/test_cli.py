@@ -1,5 +1,6 @@
 """CLI: scenario loading, run orchestration, sweeps, compare, exit codes."""
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from advertsim import cli
 from advertsim.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_SCENARIO,
     EXIT_USAGE,
     load_scenario,
@@ -379,3 +381,26 @@ class TestValidateAndExitCodes:
     def test_usage_error_exit_1(self, capsys):
         assert main(["run"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_main_restores_the_collector_setting(self, enabled, tiny_scenario, tmp_path, monkeypatch):
+        (gc.enable if enabled else gc.disable)()
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["run", "--scenario", str(tiny_scenario)] + out) == EXIT_OK
+        assert gc.isenabled() is enabled
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, "tx_rate": -2.0}))
+        assert main(["run", "--scenario", str(bad)] + out) == EXIT_SCENARIO
+        assert gc.isenabled() is enabled
+        during = []
+
+        def failing_run(sc):
+            during.append(gc.isenabled())
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr(cli, "run_scenario", failing_run)
+        assert main(["run", "--scenario", str(tiny_scenario)] + out) == EXIT_RUNTIME
+        assert gc.isenabled() is enabled
+        assert during == [False]  # paused while the command ran

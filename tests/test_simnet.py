@@ -1,6 +1,7 @@
 """Simulator: delays, dedup, topologies, determinism, causality, and flooding."""
 
 import collections
+import gc
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from advertsim.core import Transaction, serialized_size
+from advertsim.metrics import summarize
 from advertsim.protocol import Advert
 from advertsim.simnet import (
     EventLog,
@@ -196,6 +198,17 @@ class TestScenarioValidation:
         assert main(argv) == EXIT_OK
         # one check of the file with its overrides applied, then one sample per run
         assert len(calls) == 1 + len(RelayStrategy)
+
+    def test_strategy_must_be_a_member(self):
+        # an equal string fails the simulator's identity tests and would run
+        # a mix of the three strategies
+        sc = Scenario(node_count=4, topology={"kind": "complete"}, relay_strategy="ADVERT_PROTOCOL")
+        for check in (sc.validate, lambda: run_scenario(sc)):
+            with pytest.raises(ScenarioError) as exc:
+                check()
+            assert exc.value.field == "relay_strategy"
+        sc.relay_strategy = RelayStrategy.ADVERT_PROTOCOL
+        sc.validate()
 
     def test_nonpositive_rates_rejected(self):
         with pytest.raises(ScenarioError):
@@ -395,16 +408,26 @@ class TestDeterminismAndCausality:
         assert run_scenario(_mini()).sha256() != run_scenario(_mini(seed=8)).sha256()
 
     def test_causality_and_monotone_log(self):
-        log = run_scenario(_mini())
-        times = [r.t for r in log.records]
-        assert times == sorted(times)
-        sends = {r.mid: r for r in log.records if r.kind == "send"}
-        delivers = [r for r in log.records if r.kind == "deliver"]
-        assert delivers
-        for d in delivers:
-            s = sends[d.mid]
-            assert d.t >= s.t
-            assert d.msg == s.msg and d.src == s.src and d.dst == s.dst and d.size == s.size
+        # forky and cold, cut to 10 s, with a processing delay: pulls, parked
+        # seeds and reorgs run
+        data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        data.update(horizon_seconds=10.0, processing_delay_seconds=0.01)
+        forky = [Scenario.from_dict({**data, "relay_strategy": s.value}) for s in RelayStrategy]
+        for sc in [_mini()] + forky:
+            sim = _Sim(sc)
+            log = sim.run()
+            # a send is stamped once the processing delay has passed
+            times = [r.t for r in log.records if r.kind != "send" or not sc.processing_delay_seconds]
+            assert times == sorted(times)
+            sends = {r.mid: r for r in log.records if r.kind == "send"}
+            delivers = [r for r in log.records if r.kind == "deliver"]
+            assert delivers
+            for d in delivers:
+                s = sends[d.mid]
+                assert d.t >= s.t
+                assert d.msg == s.msg and d.src == s.src and d.dst == s.dst and d.size == s.size
+                # bit for bit the link's own arrival time
+                assert d.t == s.t + sim.nodes[s.src].neighbors[s.dst].delay(s.size)
 
     def test_log_serialization_roundtrip(self, tmp_path):
         log = run_scenario(_mini())
@@ -414,6 +437,31 @@ class TestDeterminismAndCausality:
         assert back.meta == log.meta
         assert back.records == log.records
         assert back.sha256() == log.sha256()
+
+
+class TestNoReferenceCycles:
+    """A run, its written log and its summary make no reference cycles, so the
+    CLI may pause the cyclic collector for a whole command."""
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_run_write_and_summarize_make_no_cycles(self, strategy, tmp_path):
+        demo = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "two_node_demo.json").read_text())
+        # forky, cold, thin links and a processing delay: pulls, parked seeds and reorgs run
+        forky = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        forky.update(
+            horizon_seconds=10.0,
+            link_bandwidth={"kind": "constant", "value": 20_000.0},
+            processing_delay_seconds=0.01,
+        )
+        for data in (demo, forky):
+            sc = Scenario.from_dict({**data, "relay_strategy": strategy})
+            gc.collect()
+            gc.disable()
+            log = run_scenario(sc)
+            log.write(tmp_path / "events.ndjson")
+            summary = summarize(log)
+            assert summary["blocks_found"] > 0
+            assert gc.collect() == 0
 
 
 class TestLogFormat:
