@@ -272,37 +272,34 @@ class AddOutcome:
 
 
 class ChainState:
-    """Validated history: known blocks, heights, and the UTXO set at the tip.
+    """One node's history of validated blocks: heights, the tip, and the tip's UTXO set.
 
     Tip selection is longest chain; ties keep the incumbent (first
-    received wins). ``deltas`` maps each known block's hash to its effect
-    on its parent's UTXO set, ``(spent, created)`` tuples of (outpoint,
-    entry) pairs; applying, undoing and fork-point UTXO views replay it.
-
-    ``checked`` maps a header hash to ``(leaves, delta)`` for a block whose
-    content passed the Merkle and transaction-validity checks (see
-    ``_check_content``): its Merkle leaves and its delta. Chains may share
-    one map only if they start from the same genesis hash and UTXO set, as
-    the nodes of one network do; by default a chain keeps its own.
+    received wins). ``checked`` maps a header hash to ``(block, leaves,
+    delta)`` for a block whose content passed the Merkle and
+    transaction-validity checks (see ``_check_content``): the block, its
+    Merkle leaves, and its effect on its parent's UTXO set, ``(spent,
+    created)`` tuples of (outpoint, entry) pairs, which applying, undoing
+    and fork-point UTXO views replay. Chains may share one map only if
+    they start from the same genesis hash and UTXO set, as the nodes of
+    one network do; by default a chain keeps its own.
     """
 
     def __init__(
         self,
         genesis_hash: Hash,
         genesis_utxo: dict[Outpoint, tuple[Address, int]],
-        checked: dict[Hash, tuple[tuple[Hash, ...], Delta]] | None = None,
+        checked: dict[Hash, tuple[Block, tuple[Hash, ...], Delta]] | None = None,
     ):
         self.genesis_hash = Hash(genesis_hash)
         self.checked = {} if checked is None else checked
         self.tip_hash = self.genesis_hash
         self.height = 0
-        self.known_blocks: dict[Hash, Block | None] = {self.genesis_hash: None}
         self.heights: dict[Hash, int] = {self.genesis_hash: 0}
         self.utxo: dict[Outpoint, tuple[Address, int]] = dict(genesis_utxo)
-        self.deltas: dict[Hash, Delta] = {}
 
     def knows(self, h: Hash) -> bool:
-        return h in self.known_blocks
+        return h in self.heights
 
     # -- UTXO views ------------------------------------------------------
 
@@ -311,14 +308,15 @@ class ChainState:
         if block_h == self.tip_hash:
             return UtxoView(self.utxo)
         overrides: dict = {}
+        checked = self.checked
         back, forward = self._paths_between(self.tip_hash, block_h)
         for h in back:  # roll the tip back
-            spent, created = self.deltas[h]
+            spent, created = checked[h][2]
             for op, _ in created:
                 overrides[op] = _SPENT
             overrides.update(spent)
         for h in forward:  # then walk out to the fork block
-            spent, created = self.deltas[h]
+            spent, created = checked[h][2]
             for op, _ in spent:
                 overrides[op] = _SPENT
             overrides.update(created)
@@ -327,44 +325,46 @@ class ChainState:
     def _paths_between(self, frm: Hash, to: Hash) -> tuple[list[Hash], list[Hash]]:
         """Blocks to unapply from ``frm`` and apply toward ``to``: both ends step
         down by height to the fork point, reading each parent from its header."""
-        blocks, heights = self.known_blocks, self.heights
+        checked, heights = self.checked, self.heights
         back: list[Hash] = []
         forward: list[Hash] = []
         a, b = frm, to
         for _ in range(heights[a] - heights[b]):
             back.append(a)
-            a = blocks[a].header.prev_block_hash
+            a = checked[a][0].header.prev_block_hash
         for _ in range(heights[b] - heights[a]):
             forward.append(b)
-            b = blocks[b].header.prev_block_hash
+            b = checked[b][0].header.prev_block_hash
         while a != b:
             back.append(a)
-            a = blocks[a].header.prev_block_hash
+            a = checked[a][0].header.prev_block_hash
             forward.append(b)
-            b = blocks[b].header.prev_block_hash
+            b = checked[b][0].header.prev_block_hash
         forward.reverse()
         return back, forward
 
     # -- growth ----------------------------------------------------------
 
     def add_block(self, block: Block) -> AddOutcome:
-        """Record a validated block; adopt it if it makes the longest chain.
+        """Add a validated block; adopt it if it makes the longest chain.
 
-        The caller must have validated the block (including against its
-        parent's UTXO view). Its delta comes from ``checked`` when
-        validation recorded one, else from the parent's view. Equal-length
-        forks never displace the tip.
+        The caller must have validated the block against this chain. A
+        block absent from ``checked`` (in the simulator, only a miner's
+        own) is checked here, which records it; a failing check raises
+        ``ValueError`` naming the reason. Equal-length forks never
+        displace the tip.
         """
         h = block_hash(block)
         parent = block.header.prev_block_hash
         if parent not in self.heights:
             raise ValueError("parent of added block is unknown")
-        if h in self.known_blocks:
+        if h in self.heights:
             return AddOutcome("side")
-        rec = self.checked.get(h)
-        self.deltas[h] = rec[1] if rec is not None else _block_delta(block, self.utxo_view_at(parent))
+        if h not in self.checked:
+            reason = _check_content(block, self, None).reason
+            if reason is not Reason.OK:
+                raise ValueError(f"added block fails its content checks: {reason.value}")
         height = self.heights[parent] + 1
-        self.known_blocks[h] = block
         self.heights[h] = height
 
         if parent == self.tip_hash:
@@ -384,17 +384,17 @@ class ChainState:
             self._apply(fh)
         self.tip_hash = h
         self.height = self.heights[h]
-        blocks = self.known_blocks
-        return AddOutcome("reorged", tuple(blocks[bh] for bh in back), tuple(blocks[fh] for fh in forward))
+        checked = self.checked
+        return AddOutcome("reorged", tuple(checked[bh][0] for bh in back), tuple(checked[fh][0] for fh in forward))
 
     def _apply(self, h: Hash) -> None:
-        spent, created = self.deltas[h]
+        spent, created = self.checked[h][2]
         for op, _ in spent:
             del self.utxo[op]
         self.utxo.update(created)
 
     def _unapply(self, h: Hash) -> None:
-        spent, created = self.deltas[h]
+        spent, created = self.checked[h][2]
         for op, _ in created:
             del self.utxo[op]
         self.utxo.update(spent)
@@ -544,13 +544,13 @@ def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | N
         return ValidationVerdict(Reason.TX_LIST_MISMATCH)
     h = header_hash(header)
     rec = chain.checked.get(h)
-    if rec is None or rec[0] != leaves:
+    if rec is None or rec[1] != leaves:
         if merkle_root(leaves) != header.merkle_root:
             return ValidationVerdict(Reason.MERKLE_MISMATCH)
         delta = _txs_valid_against_parent(block, chain)
         if delta is None:
             return ValidationVerdict(Reason.INVALID_TX)
-        chain.checked[h] = (leaves, delta)
+        chain.checked[h] = (block, leaves, delta)
     return ValidationVerdict(Reason.OK)
 
 

@@ -90,7 +90,7 @@ def ladder_oracle(block, registry, chain) -> Reason:
         return Reason.NO_MATCHING_ADVERT
     if advert.coinbase_address != block.coinbase.coinbase_address:
         return Reason.COINBASE_MISMATCH
-    if block.header.prev_block_hash not in chain.known_blocks:
+    if block.header.prev_block_hash not in chain.heights:
         return Reason.WRONG_PREV_HASH
     if not pow_ok_oracle(block.header):
         return Reason.POW_FAIL

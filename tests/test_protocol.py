@@ -496,13 +496,32 @@ class TestSharedContentRecord:
             assert chain.add_block(bundle.block).kind == "extended"
         assert len(calls) == 1
         h = block_hash(bundle.block)
-        assert a.deltas[h] is b.deltas[h] is checked[h][1]
-        # a block absent from the record (a miner's own) computes its delta once, at the add
+        assert a.checked is b.checked is checked and checked[h][0] is bundle.block
+        # a block absent from the record (a miner's own) is checked and recorded at the add
         lone = ChainState(bundle.genesis, bundle.chain.utxo)
         assert lone.add_block(bundle.block).kind == "extended"
         assert len(calls) == 2
-        assert lone.checked == {}
+        assert h in lone.checked
         assert lone.utxo == a.utxo == b.utxo
+
+    @pytest.mark.parametrize("fault", ["unfunded-tx", "corrupt-merkle"])
+    def test_add_block_refuses_content_that_fails_its_checks(self, fault):
+        rng = random.Random(45)
+        bundle = advertised_block(rng, bits=4, ntx=3)
+        chain = bundle.chain
+        assert chain.add_block(bundle.block).kind == "extended"
+        block = bundle.block
+        if fault == "unfunded-tx":
+            bogus = Transaction(inputs=((rand_hash(rng), 0),), outputs=((rand_address(rng), 5),))
+            tampered, reason = _remined(block, txs=block.transactions + (bogus,)), Reason.INVALID_TX
+        else:
+            bad_root = Hash(bytes([block.header.merkle_root[0] ^ 1]) + block.header.merkle_root[1:])
+            tampered, reason = _remined(block, merkle=bad_root), Reason.MERKLE_MISMATCH
+        before = (dict(chain.heights), chain.tip_hash, chain.height, dict(chain.utxo), dict(chain.checked))
+        with pytest.raises(ValueError, match=reason.value):
+            chain.add_block(tampered)
+        assert (chain.heights, chain.tip_hash, chain.height, chain.utxo, chain.checked) == before
+        assert not chain.knows(block_hash(tampered))
 
 
 class TestUtxoReplayOracle:
@@ -585,7 +604,7 @@ class TestUtxoReplayOracle:
                 assert validate_block_baseline(blocks[h], chain).accepted
                 reorgs += chain.add_block(blocks[h]).kind == "reorged"
                 assert chain.utxo == self._replay(genesis, faucet, blocks, chain.tip_hash)
-                for known in chain.known_blocks:
+                for known in chain.heights:
                     view = chain.utxo_view_at(known)
                     expected = self._replay(genesis, faucet, blocks, known)
                     assert all(view.get(op) == expected.get(op) for op in touched)

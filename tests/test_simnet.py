@@ -361,8 +361,9 @@ class TestOwnAdvertFloods:
 
 class TestContentCheckedOncePerNetwork:
     @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
-    def test_merkle_root_at_most_twice_per_found_block(self, strategy, monkeypatch):
-        """Once in ``mine``, once at the first node that validates the block."""
+    def test_merkle_root_twice_per_found_block(self, strategy, monkeypatch):
+        """Once in ``mine``, once when the finder adds the block: every other
+        node then finds it in the network's record."""
         import advertsim.mining as mining
         import advertsim.protocol as protocol
 
@@ -381,11 +382,11 @@ class TestContentCheckedOncePerNetwork:
         found = sum(r.kind == "block_found" for r in log.records)
         accepted = sum(r.kind == "block_accept" for r in log.records)
         assert accepted > 4 * found  # most blocks are checked at many nodes
-        assert found <= len(calls) <= 2 * found
+        assert len(calls) == 2 * found  # ``mine`` finds every block at its first extra nonce
 
     @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
-    def test_block_delta_at_most_twice_per_found_block(self, strategy, monkeypatch):
-        """Once at the miner's own add, once at the first node that validates the block."""
+    def test_block_delta_once_per_found_block(self, strategy, monkeypatch):
+        """Once, when the finder adds the block and records it for the network."""
         import advertsim.protocol as protocol
 
         calls = []
@@ -395,7 +396,40 @@ class TestContentCheckedOncePerNetwork:
         data.update(horizon_seconds=20.0, relay_strategy=strategy)
         log = run_scenario(Scenario.from_dict(data))
         found = sum(r.kind == "block_found" for r in log.records)
-        assert found <= len(calls) <= 2 * found
+        assert len(calls) == found
+
+
+class TestConvergence:
+    """Forky and cold, cut to 20 s: every strategy must converge (ROADMAP item 1)."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            "BASELINE_FULL_BLOCK",
+            pytest.param(
+                "ADVERT_PROTOCOL",
+                marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: advert eviction partitions the network"),
+            ),
+            "LATE_ADVERT",
+        ],
+    )
+    def test_every_node_accepts_early_blocks_and_keeps_up(self, strategy):
+        data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        data.update(horizon_seconds=20.0, seed=1, relay_strategy=strategy)
+        sim = _Sim(Scenario.from_dict(data))
+        log = sim.run()
+        cutoff = sim.sc.horizon_seconds - 10.0
+        early = [r.oid for r in log.records if r.kind == "block_found" and r.t < cutoff]
+        top = max(r.val for r in log.records if r.kind == "block_found")
+        acceptors = collections.defaultdict(set)
+        for r in log.records:
+            if r.kind == "block_accept":
+                acceptors[r.oid].add(r.src)
+        stranded = [oid for oid in early if len(acceptors[oid]) < len(sim.nodes)]
+        gap = max(top - node.proto.chain.height for node in sim.nodes)
+        assert early
+        assert not stranded, f"{len(stranded)} of {len(early)} early blocks miss a node"
+        assert gap <= 2, f"a node ends {gap:g} blocks below the highest block found"
 
 
 class TestDeterminismAndCausality:
