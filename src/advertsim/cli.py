@@ -25,7 +25,7 @@ from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .metrics import _write_json, _write_run_outputs
-from .simnet import RelayStrategy, Scenario, ScenarioError, collector_paused, run_scenario
+from .simnet import RelayStrategy, Scenario, ScenarioError, collector_paused, run_scenario, topologies_memoized
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -244,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        with collector_paused():  # a command's logs make no cycles; see collector_paused
+        # a command's logs make no cycles, and its runs share each topology
+        with collector_paused(), topologies_memoized():
             return args.func(args)
     except (ScenarioError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

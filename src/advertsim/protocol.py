@@ -187,6 +187,13 @@ class Mempool:
         self._insert(h, tx)
         return True
 
+    def copy(self) -> "Mempool":
+        """An independent pool holding the same transactions in the same arrival order."""
+        pool = Mempool()
+        pool.txs = self.txs.copy()
+        pool.spent_outpoints = self.spent_outpoints.copy()
+        return pool
+
     def insert_unchecked(self, tx: Transaction) -> None:
         """Insert without validation. For bootstrap and tests only."""
         self._insert(txid(tx), tx)

@@ -73,6 +73,7 @@ LOG_SCHEMA_VERSION = 1
 GENESIS_HASH = hash_bytes(b"advertsim-genesis")
 FAUCET_ADDRESS = Address(hash_bytes(b"advertsim-faucet")[:20])
 FAUCET_VALUE = 1_000
+_FAUCET_ENTRY = (FAUCET_ADDRESS, FAUCET_VALUE)
 _SIM_POW_BUDGET = MiningBudget(1 << 26)
 
 NodeId = int
@@ -270,7 +271,7 @@ class Scenario:
         _validate_dist("link_latency", self.link_latency, allow_zero=True)
         _validate_dist("link_bandwidth", self.link_bandwidth, allow_zero=False)
         # raises ScenarioError on malformed or disconnected topologies
-        return build_topology(self.topology, self.node_count, random.Random(f"{self.seed}/topology"))
+        return _sample_topology(self.topology, self.node_count, self.seed)
 
 
 def _validate_dist(field_name: str, spec, allow_zero: bool) -> None:
@@ -350,6 +351,42 @@ def build_topology(spec: dict, n: int, rng: random.Random) -> list[tuple[int, in
     if n > 1 and not _connected(n, edges):
         raise ScenarioError("topology", "topology is not connected")
     return edges
+
+
+# (canonical topology spec, node count, seed) -> edge list, while
+# topologies_memoized() is active; None otherwise
+_topology_memo: dict | None = None
+
+
+@contextmanager
+def topologies_memoized() -> Iterator[None]:
+    """Sample each distinct topology once for the ``with`` body.
+
+    The edge list is a pure function of the topology spec, the node count
+    and the seed, so the validations and runs of one command (a compare's
+    strategies, a sweep's values) may share it. The memo is module state,
+    so that ``run_scenario(scenario)`` keeps its one argument; it lives
+    only as long as the ``with`` body.
+    """
+    global _topology_memo
+    outer = _topology_memo
+    _topology_memo = {}
+    try:
+        yield
+    finally:
+        _topology_memo = outer
+
+
+def _sample_topology(spec, n: int, seed: int) -> list[tuple[int, int]]:
+    """``build_topology`` on the scenario's own rng stream, memoized when active."""
+    memo = _topology_memo
+    if memo is None:
+        return build_topology(spec, n, random.Random(f"{seed}/topology"))
+    key = (json.dumps(spec, sort_keys=True), n, seed)
+    edges = memo.get(key)
+    if edges is None:
+        edges = memo[key] = build_topology(spec, n, random.Random(f"{seed}/topology"))
+    return list(edges)
 
 
 def _random_regular(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -484,7 +521,8 @@ class _PendingSeed:
     ``sent`` is the ``send`` record it arrived under: sender, family, size,
     id and path bytes. ``needs`` holds what its last try lacked, to be woken
     by: its advert key, the advertised transactions it could not resolve,
-    or its parent's hash.
+    or its parent's hash. Set it only through ``_Node.set_needs``, which
+    keeps the node's ``waiting`` index in step.
     """
 
     msg: BlockSeed | Block  # as relayed
@@ -502,12 +540,34 @@ class _Node:
     tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
     seen: set[str] = field(default_factory=set)
     pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
+    # how many parked entries have each item in their needs
+    waiting: dict = field(default_factory=dict)
     session: int = 0
-    template: BlockTemplate | None = None
+    started: float = 0.0  # when the current mining session began
+    advert: Advert | None = None  # the session's own advert; LATE chooses it at the find
     # per advert key, (time, bytes) of the advert's first arrival, then of each
     # pull made for it: the bytes that may count as post-find on the critical path
     pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = field(default_factory=dict)
     req_map: dict[Hash, tuple[Address, Hash]] = field(default_factory=dict)
+
+    def set_needs(self, pend: _PendingSeed, needs: tuple | frozenset) -> None:
+        """Record what parked ``pend`` lacks, in it and in ``waiting``."""
+        waiting = self.waiting
+        for x in pend.needs:
+            n = waiting[x] - 1
+            if n:
+                waiting[x] = n
+            else:
+                del waiting[x]
+        for x in needs:
+            waiting[x] = waiting.get(x, 0) + 1
+        pend.needs = needs
+
+    def unpark(self, bh: Hash) -> None:
+        """Drop the entry parked under ``bh``, if any, and what it waits for."""
+        pend = self.pending.pop(bh, None)
+        if pend is not None:
+            self.set_needs(pend, ())
 
 
 def node_address(nid: int) -> Address:
@@ -563,34 +623,33 @@ class _Sim:
         )
 
         # faucet outputs fund every generated transaction; sized with margin
-        n_faucet = sc.initial_mempool_txs + int(sc.tx_rate * sc.horizon_seconds * 3) + 64
-        self.faucet_ids = [hash_bytes(b"advertsim-faucet-tx:%d" % i) for i in range(n_faucet)]
-        genesis_utxo = {(fid, 0): (FAUCET_ADDRESS, FAUCET_VALUE) for fid in self.faucet_ids}
+        # and minted as drawn (see _next_faucet)
+        self.n_faucet = n_faucet = sc.initial_mempool_txs + int(sc.tx_rate * sc.horizon_seconds * 3) + 64
         self.faucet_next = 0
+        self.nodes: list[_Node] = []
 
+        # one pool takes the warm transactions and every node copies it; the
+        # outputs they spend, minted before any chain exists, are the genesis
+        # UTXO set
         warm_rng = random.Random(f"{sc.seed}/warm")
-        self.warm_txs = [
-            self._generated_tx(self._next_faucet(), warm_rng)
-            for _ in range(sc.initial_mempool_txs)
-        ]
+        warm = Mempool()
+        for _ in range(sc.initial_mempool_txs):
+            warm.insert_unchecked(self._generated_tx(self._next_faucet(), warm_rng))
+        genesis_utxo = dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
         self.arrivals_rng = random.Random(f"{sc.seed}/arrivals")
 
-        warm_store = {txid(tx): tx for tx in self.warm_txs}
         rates = sc.hash_rates()
         checked: dict = {}  # every chain starts from genesis_utxo, so one record serves all
-        self.nodes: list[_Node] = []
         for nid in range(sc.node_count):
             chain = ChainState(GENESIS_HASH, genesis_utxo, checked)
             proto = NodeProtocolState(
                 address=node_address(nid),
                 chain=chain,
-                mempool=Mempool(),
+                mempool=warm.copy(),
                 registry=AdvertRegistry(),
             )
             node = _Node(nid, proto, rates[nid], random.Random(f"{sc.seed}/mining/{nid}"))
-            node.tx_store.update(warm_store)
-            for tx in self.warm_txs:
-                node.proto.mempool.insert_unchecked(tx)
+            node.tx_store = warm.txs.copy()
             self.nodes.append(node)
 
         link_rng = random.Random(f"{sc.seed}/links")
@@ -616,10 +675,21 @@ class _Sim:
     # -- helpers ---------------------------------------------------------
 
     def _next_faucet(self) -> Hash | None:
-        if self.faucet_next >= len(self.faucet_ids):
+        """Mint the next faucet output and credit it to every chain, or None
+        once all ``n_faucet`` are drawn.
+
+        A minted output is a genesis output: no transaction or block can name
+        it before its id exists, so crediting it now gives every UTXO view the
+        same answers as a genesis set holding all of them from the start.
+        """
+        i = self.faucet_next
+        if i >= self.n_faucet:
             return None
-        fid = self.faucet_ids[self.faucet_next]
-        self.faucet_next += 1
+        self.faucet_next = i + 1
+        fid = hash_bytes(b"advertsim-faucet-tx:%d" % i)
+        op = (fid, 0)
+        for node in self.nodes:
+            node.proto.chain.utxo[op] = _FAUCET_ENTRY
         return fid
 
     def _generated_tx(self, fid: Hash, rng: random.Random) -> Transaction:
@@ -704,7 +774,6 @@ class _Sim:
             proto.registry.register(advert)
         if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
             self._announce(node, advert)
-        node.template = self._template_from(node, advert)
         return advert
 
     def _announce(self, node: _Node, advert: Advert) -> None:
@@ -716,16 +785,21 @@ class _Sim:
 
     def _restart_mining(self, node: _Node) -> None:
         node.session += 1
-        if self.strategy is RelayStrategy.LATE_ADVERT:
-            node.template = None  # transaction list chosen at find time
-        else:
-            self._own_advert(node)
+        node.started = self.now
+        if self.strategy is not RelayStrategy.LATE_ADVERT:
+            node.advert = self._own_advert(node)
         dt = sample_mining_time(
             HashRate(node.rate), CompactTarget(self.sc.difficulty_bits), node.mining_rng
         )
         self._schedule(self.now + dt, "found", node.nid, node.session)
 
-    def _template_from(self, node: _Node, advert: Advert) -> BlockTemplate:
+    def _template_from(self, node: _Node, advert: Advert, started: float) -> BlockTemplate:
+        """The block a session mines: ``advert``'s transactions from the pool,
+        stamped with the second the session chose them.
+
+        Built at the find; the pool only grows within a session, so every
+        advertised transaction is still in it.
+        """
         mempool = node.proto.mempool
         txs = tuple(mempool.txs[h] for h in advert.tx_hashes)
         # seed the extra nonce from the parent so coinbase ids never repeat
@@ -742,7 +816,7 @@ class _Sim:
             coinbase=coinbase,
             transactions=txs,
             difficulty_target=CompactTarget(self.sc.pow_proof_bits),
-            base_timestamp=int(self.now),
+            base_timestamp=int(started),
             max_size_bytes=self.sc.block_size_cap_bytes,
         )
 
@@ -752,12 +826,12 @@ class _Sim:
         node = self.nodes[nid]
         if session != node.session:
             return  # tip changed while this sample was pending
-        advert = None
-        if self.strategy is RelayStrategy.LATE_ADVERT:
-            advert = self._own_advert(node)
-        template = node.template
-        assert template is not None
-        block = mine(template, _SIM_POW_BUDGET)
+        late = self.strategy is RelayStrategy.LATE_ADVERT
+        if late:
+            advert, started = self._own_advert(node), self.now
+        else:
+            advert, started = node.advert, node.started
+        block = mine(self._template_from(node, advert, started), _SIM_POW_BUDGET)
         assert block is not None, "simulation proof target missed its budget"
         bh = block_hash(block)
         oid = bh.short()
@@ -779,8 +853,8 @@ class _Sim:
                 float(height),
             )
         )
-        if advert is not None:
-            self._announce(node, advert)  # LATE: back to back with the seed
+        if late:
+            self._announce(node, advert)  # back to back with the seed
         if self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
             msg, family, size = block, "block", block_size
         else:
@@ -841,9 +915,13 @@ class _Sim:
 
     def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
-        node.pull_log.setdefault(key, [(self.now, sent.val)])
+        pull_log = node.pull_log
+        if key not in pull_log:
+            pull_log[key] = [(self.now, sent.val)]
         if node.proto.registry.register(advert) is RegistrationResult.REGISTERED:  # first arrival wins
-            self._request_txs(node, missing_txs(advert, node.tx_store), sent.src, key)
+            missing = missing_txs(advert, node.tx_store)
+            if missing:
+                self._request_txs(node, missing, sent.src, key)
         # the seed sender already validated the block; pull stragglers from it
         self._wake(node, key, pull=True)
 
@@ -855,15 +933,17 @@ class _Sim:
         if type(msg) is BlockSeed or not node.proto.chain.knows(msg.header.prev_block_hash):
             pending = node.pending
             if len(pending) >= self.sc.pending_seed_buffer:
-                pending.pop(next(iter(pending)))  # FIFO eviction
+                node.unpark(next(iter(pending)))  # FIFO eviction
             pending[header_hash(msg.header)] = pend
         self._try_seed(node, pend, pull=True)
 
     def _wake(self, node: _Node, arrived: Hash | tuple[Address, Hash], pull: bool = False) -> None:
         """Retry, in parking order, every parked entry whose last try lacked ``arrived``:
         an advert key, a transaction id or a block hash."""
-        for pend in [p for p in node.pending.values() if arrived in p.needs]:
-            self._try_seed(node, pend, pull)
+        if arrived in node.waiting:
+            for pend in [p for p in node.pending.values() if arrived in p.needs]:
+                self._try_seed(node, pend, pull)
+
 
     def _try_seed(self, node: _Node, pend: _PendingSeed, pull: bool) -> None:
         """Validate, accept and forward a relayed seed or full block as far as knowledge allows."""
@@ -879,19 +959,19 @@ class _Sim:
             rec = reconstruct_block(msg, proto.registry, node.tx_store)
             if not rec.ok:
                 if rec.missing:
-                    pend.needs = frozenset(rec.missing)
+                    node.set_needs(pend, frozenset(rec.missing))
                     if pull:  # the seed sender validated the block, so it has every tx
                         self._request_txs(node, rec.missing, sent.src, key, force=True)
                 else:
-                    pend.needs = (key,)
+                    node.set_needs(pend, (key,))
                 return
             block = rec.block
             verdict = validate_block(block, proto.registry, proto.chain)
         if verdict.reason is Reason.WRONG_PREV_HASH:
-            pend.needs = (header.prev_block_hash,)
+            node.set_needs(pend, (header.prev_block_hash,))
             return
         bh = header_hash(header)
-        node.pending.pop(bh, None)
+        node.unpark(bh)
         if not verdict.accepted:
             return
         pb = sent.val
@@ -922,15 +1002,20 @@ class _Sim:
                 self._relay_new_tx(node, tx)
 
     def _request_txs(
-        self, node: _Node, missing: list[Hash], target: int, key, force: bool = False
+        self, node: _Node, missing: list[Hash] | tuple[Hash, ...], target: int, key, force: bool = False
     ) -> None:
-        outstanding = missing if force else [h for h in missing if h not in node.req_map]
-        if not outstanding:
-            return
+        """Pull ``missing`` (not empty) from ``target``; unless ``force``, only
+        the hashes no earlier request asked for."""
+        req_map = node.req_map
+        outstanding = missing
+        if not force and not req_map.keys().isdisjoint(missing):
+            outstanding = [h for h in missing if h not in req_map]
+            if not outstanding:
+                return
         req = TxRequest(tuple(outstanding))
         size = serialized_size(req)
         for h in outstanding:
-            node.req_map[h] = key
+            req_map[h] = key
         # the advert's arrival opened this ledger: a pull needs the registered advert
         node.pull_log[key].append((self.now + self.proc, float(size)))
         self._send(node, req, "txreq", "", 0.0, size, to=target)

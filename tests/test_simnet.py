@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from advertsim.core import Transaction, serialized_size
+from advertsim.core import Transaction, hash_bytes, serialized_size, txid
 from advertsim.metrics import summarize
 from advertsim.protocol import Advert
 from advertsim.simnet import (
+    FAUCET_ADDRESS,
+    FAUCET_VALUE,
     EventLog,
     Link,
     LogRecord,
@@ -178,9 +180,9 @@ class TestScenarioValidation:
         assert len(calls) == 1
         assert sc.validate() == real(sc.topology, sc.node_count, random.Random(f"{sc.seed}/topology"))
 
-    def test_compare_samples_the_topology_once_per_run(self, monkeypatch, tmp_path):
+    @staticmethod
+    def _count_samples(monkeypatch) -> list:
         import advertsim.simnet as simnet
-        from advertsim.cli import EXIT_OK, main
 
         calls = []
         real = simnet.build_topology
@@ -190,14 +192,44 @@ class TestScenarioValidation:
             return real(*args)
 
         monkeypatch.setattr(simnet, "build_topology", counting)
+        return calls
+
+    def test_compare_samples_the_topology_once(self, monkeypatch, tmp_path):
+        from advertsim.cli import EXIT_OK, main
+
+        calls = self._count_samples(monkeypatch)
         path = tmp_path / "mini.json"
         path.write_text(json.dumps(_mini(horizon_seconds=1.0).to_dict()), encoding="utf-8")
         strategies = ",".join(s.value for s in RelayStrategy)
         argv = ["compare", "--scenario", str(path), "--seed", "3", "--strategies", strategies,
                 "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_OK
-        # one check of the file with its overrides applied, then one sample per run
-        assert len(calls) == 1 + len(RelayStrategy)
+        # the check of the file with its overrides applied; every run reuses it
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "sweep, distinct",
+        [("seed=3,4,5", 3), ("node_count=4,6", 2), ("tx_rate=1.0,2.0,3.0", 1)],
+    )
+    def test_sweep_samples_each_topology_once(self, monkeypatch, tmp_path, sweep, distinct):
+        from advertsim.cli import EXIT_OK, main
+
+        calls = self._count_samples(monkeypatch)
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(_mini(horizon_seconds=1.0).to_dict()), encoding="utf-8")
+        argv = ["sweep", "--scenario", str(path), "--seed", "3", "--sweep", sweep, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        # the base scenario (4 nodes, seed 3) is one of the swept topologies
+        assert len(calls) == distinct
+
+    def test_memoized_topology_is_a_fresh_list(self):
+        from advertsim.simnet import topologies_memoized
+
+        sc = _mini(topology={"kind": "random_regular", "degree": 2}, node_count=6)
+        with topologies_memoized():
+            first = sc.validate()
+            first.clear()
+            assert sc.validate() == build_topology(sc.topology, 6, random.Random(f"{sc.seed}/topology"))
 
     def test_strategy_must_be_a_member(self):
         # an equal string fails the simulator's identity tests and would run
@@ -710,3 +742,151 @@ class TestPendingSeedRetryOracle:
         assert real.tries < ref.tries
         accepts = collections.Counter((r.src, r.oid) for r in log.records if r.kind == "block_accept")
         assert accepts and max(accepts.values()) == 1
+
+
+def _forky_cold(**overrides) -> Scenario:
+    data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+    data.update(overrides)
+    return Scenario.from_dict(data)
+
+
+def _faucet_id(i: int):
+    return hash_bytes(b"advertsim-faucet-tx:%d" % i)
+
+
+class TestFaucetMintedOnDemand:
+    """A faucet output is hashed when drawn and credited to every chain as a genesis output."""
+
+    def test_only_drawn_ids_are_hashed(self, monkeypatch):
+        import advertsim.simnet as simnet
+
+        minted = []
+        real = simnet.hash_bytes
+
+        def counting(data):
+            if data.startswith(b"advertsim-faucet-tx:"):
+                minted.append(data)
+            return real(data)
+
+        monkeypatch.setattr(simnet, "hash_bytes", counting)
+        sim = _Sim(_mini(horizon_seconds=5.0))
+        assert len(minted) == sim.sc.initial_mempool_txs == sim.faucet_next
+        log = sim.run()
+        arrivals = sum(r.kind == "tx_arrival" for r in log.records)
+        assert arrivals > 0
+        assert minted == [b"advertsim-faucet-tx:%d" % i for i in range(sim.sc.initial_mempool_txs + arrivals)]
+        assert len(minted) < sim.n_faucet == log.meta["faucet_outputs"]
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_every_chain_holds_each_minted_output_until_spent(self, strategy):
+        sim = _Sim(_forky_cold(horizon_seconds=10.0, initial_mempool_txs=30, relay_strategy=strategy))
+        sim.run()
+        minted = [(_faucet_id(i), 0) for i in range(sim.faucet_next)]
+        spent_somewhere = False
+        for node in sim.nodes:
+            chain = node.proto.chain
+            spent = set()
+            h = chain.tip_hash
+            while h != chain.genesis_hash:
+                block = chain.checked[h][0]
+                spent.update(op for tx in block.transactions for op in tx.inputs)
+                h = block.header.prev_block_hash
+            spent_somewhere |= bool(spent)
+            for op in minted:
+                assert (op in chain.utxo) == (op not in spent)
+                if op in chain.utxo:
+                    assert chain.utxo[op] == (FAUCET_ADDRESS, FAUCET_VALUE)
+        assert spent_somewhere
+
+    def test_arrivals_stop_at_n_faucet(self):
+        sim = _Sim(_mini(horizon_seconds=25.0))
+        sim.n_faucet = sim.faucet_next + 5
+        log = sim.run()
+        assert sum(r.kind == "tx_arrival" for r in log.records) == 5
+        assert sim.faucet_next == sim.n_faucet
+        # the meta line still reports the cap the scenario sizes
+        assert log.meta["faucet_outputs"] == 40 + int(2.0 * 25.0 * 3) + 64
+
+
+class TestWarmPoolFilledOnce:
+    def test_each_pool_lists_the_warm_txs_in_arrival_order(self):
+        sim = _Sim(_mini(initial_mempool_txs=50))
+        order = [(_faucet_id(i), 0) for i in range(50)]
+        for node in sim.nodes:
+            pool = node.proto.mempool
+            assert [tx.inputs[0] for tx in pool.txs.values()] == order
+            assert list(pool.spent_outpoints) == order
+            assert list(pool.spent_outpoints.values()) == list(pool.txs)
+            assert list(node.tx_store) == list(pool.txs)
+            assert set(node.proto.chain.utxo) == set(order)
+
+    def test_pools_are_independent(self):
+        sim = _Sim(_mini(initial_mempool_txs=50))
+        first, second = sim.nodes[0], sim.nodes[1]
+        pool = second.proto.mempool
+        before = (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items()))
+        extra = sim._generated_tx(sim._next_faucet(), random.Random(0))
+        assert first.proto.mempool.add(extra, first.proto.chain.utxo)
+        first.tx_store[txid(extra)] = extra
+        first.proto.mempool.remove(next(iter(first.proto.mempool.txs)))
+        assert len(first.proto.mempool) == 50 and len(first.tx_store) == 51
+        assert (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items())) == before
+
+
+class TestTemplateBuiltAtFind:
+    @pytest.mark.parametrize("strategy", ["BASELINE_FULL_BLOCK", "ADVERT_PROTOCOL", "LATE_ADVERT"])
+    def test_header_timestamp_is_the_second_the_list_was_chosen(self, strategy):
+        sim = _Sim(_forky_cold(horizon_seconds=10.0, relay_strategy=strategy))
+        log = sim.run()
+        headers = {h.short(): rec[0].header for h, rec in sim.nodes[0].proto.chain.checked.items()}
+        started = {}  # a session starts at t = 0 and at each tip change
+        crossed = 0
+        for r in log.records:
+            if r.kind == "tip_adopt":
+                started[r.src] = r.t
+            elif r.kind == "block_found":
+                # LATE chooses its list at the find, the others when the session starts
+                chosen = r.t if strategy == "LATE_ADVERT" else started.get(r.src, 0.0)
+                assert headers[r.oid].timestamp == int(chosen)
+                crossed += int(started.get(r.src, 0.0)) != int(r.t)
+        assert crossed > 0  # some sessions span a second boundary
+
+
+class _IndexCheckingSim(_Sim):
+    """The simulator as shipped, checking its wake index after every try."""
+
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
+        self.checks = 0
+        self.evictions = 0
+
+    @staticmethod
+    def index_holds(node) -> bool:
+        return node.waiting == collections.Counter(x for p in node.pending.values() for x in p.needs)
+
+    def _handle_relayed_block(self, node, msg, sent):
+        self.evictions += len(node.pending) >= self.sc.pending_seed_buffer
+        super()._handle_relayed_block(node, msg, sent)
+
+    def _try_seed(self, node, pend, pull):
+        super()._try_seed(node, pend, pull)
+        assert self.index_holds(node)
+        self.checks += 1
+
+
+class TestWakeIndex:
+    """``node.waiting`` counts, per item, the parked entries whose needs hold it."""
+
+    @pytest.mark.parametrize(
+        "strategy, buffer",
+        [("BASELINE_FULL_BLOCK", 32), ("ADVERT_PROTOCOL", 32), ("LATE_ADVERT", 32), ("ADVERT_PROTOCOL", 2)],
+    )
+    def test_index_equals_the_parked_needs(self, strategy, buffer):
+        sim = _IndexCheckingSim(_forky_cold(horizon_seconds=10.0, relay_strategy=strategy, pending_seed_buffer=buffer))
+        sim.run()
+        assert sim.checks > 0
+        assert all(sim.index_holds(node) for node in sim.nodes)
+        if buffer == 2:
+            assert sim.evictions > 0
+        if strategy == "ADVERT_PROTOCOL":
+            assert any(node.waiting for node in sim.nodes)  # stranded seeds still wait
