@@ -84,7 +84,7 @@ class Transaction:
     inputs: tuple[tuple[Hash, int], ...]
     outputs: tuple[tuple[Address, int], ...]
     nominal_size_bytes: int = DEFAULT_TX_SIZE_BYTES
-    _txid: Hash | None = field(default=None, init=False, repr=False, compare=False)
+    _txid: Hash = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -100,12 +100,7 @@ class Transaction:
                 raise ValueError("output value must be >= 0")
         for _, idx in self.inputs:
             _check_u32("input index", idx)
-        floor = len(serialize(self))
-        if self.nominal_size_bytes < floor:
-            raise ValueError(
-                f"nominal_size_bytes {self.nominal_size_bytes} below "
-                f"serialization floor {floor}"
-            )
+        _set_txid(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,19 +111,14 @@ class CoinbaseTransaction:
     reward: int
     extra_nonce: int = 0
     nominal_size_bytes: int = DEFAULT_COINBASE_SIZE_BYTES
-    _txid: Hash | None = field(default=None, init=False, repr=False, compare=False)
+    _txid: Hash = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coinbase_address", Address(self.coinbase_address))
         if self.reward < 0:
             raise ValueError("reward must be >= 0")
         _check_u64("extra_nonce", self.extra_nonce)
-        floor = len(serialize(self))
-        if self.nominal_size_bytes < floor:
-            raise ValueError(
-                f"nominal_size_bytes {self.nominal_size_bytes} below "
-                f"serialization floor {floor}"
-            )
+        _set_txid(self)
 
     @property
     def outputs(self) -> tuple[tuple[Address, int], ...]:
@@ -159,7 +149,8 @@ class CompactTarget:
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
     """Every copy of a block (seed, reconstruction, relayed block) shares its
-    header object, so the header hash is computed once per network."""
+    header object, and the header hash is computed when the header is built,
+    so it is computed once per network."""
 
     version: int
     prev_block_hash: Hash
@@ -167,7 +158,7 @@ class BlockHeader:
     timestamp: int
     difficulty_target: CompactTarget
     nonce: int
-    _hash: Hash | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: Hash = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prev_block_hash", Hash(self.prev_block_hash))
@@ -175,6 +166,7 @@ class BlockHeader:
         _check_u32("version", self.version)
         _check_u64("timestamp", self.timestamp)
         _check_u32("nonce", self.nonce)
+        object.__setattr__(self, "_hash", hash_bytes(serialize(self)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,26 +285,30 @@ def _(resp: TxResponse) -> bytes:
     return b"".join(parts)
 
 
+def _set_txid(tx: Transaction | CoinbaseTransaction) -> None:
+    """Serialize a new transaction once: check its size floor against the
+    bytes and store their hash as its id."""
+    data = serialize(tx)
+    if tx.nominal_size_bytes < len(data):
+        raise ValueError(
+            f"nominal_size_bytes {tx.nominal_size_bytes} below "
+            f"serialization floor {len(data)}"
+        )
+    object.__setattr__(tx, "_txid", hash_bytes(data))
+
+
 def txid(tx: Transaction | CoinbaseTransaction) -> Hash:
     """Content id of a transaction: double SHA-256 of its canonical bytes.
 
     Covers every field (including the coinbase extra nonce), so ids are
-    immutable once a transaction exists. Cached on the instance.
+    immutable once a transaction exists. Computed at construction.
     """
-    cached = tx._txid
-    if cached is None:
-        cached = hash_bytes(serialize(tx))
-        object.__setattr__(tx, "_txid", cached)
-    return cached
+    return tx._txid
 
 
 def header_hash(header: BlockHeader) -> Hash:
-    """Double SHA-256 of the header's canonical bytes. Cached on the instance."""
-    cached = header._hash
-    if cached is None:
-        cached = hash_bytes(serialize(header))
-        object.__setattr__(header, "_hash", cached)
-    return cached
+    """Double SHA-256 of the header's canonical bytes. Computed at construction."""
+    return header._hash
 
 
 def block_hash(block: Block) -> Hash:

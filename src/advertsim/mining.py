@@ -11,7 +11,7 @@ infeasible with real hashing even at toy difficulty.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     HEADER_WIRE_BYTES,
@@ -89,21 +89,17 @@ def mine(
     """Search for a block satisfying the template's difficulty target.
 
     Deterministic order: nonce 0..nonce_limit-1, then extra nonce += 1
-    and the nonce restarts. The timestamp stays at ``base_timestamp``.
-    Returns None when the budget is exhausted. ``nonce_limit`` shrinks
-    the nonce space so extra-nonce rolling can be exercised in tests;
-    the default is the full 32-bit space.
+    and the nonce restarts. The first pass mines the template's own
+    coinbase; a new one is built only to roll the extra nonce. The
+    timestamp stays at ``base_timestamp``. Returns None when the budget
+    is exhausted. ``nonce_limit`` shrinks the nonce space so extra-nonce
+    rolling can be exercised in tests; the default is the full 32-bit
+    space.
     """
     evaluations = 0
-    extra_nonce = template.coinbase.extra_nonce
+    coinbase = template.coinbase
     tx_leaves = [txid(t) for t in template.transactions]
     while True:
-        coinbase = CoinbaseTransaction(
-            coinbase_address=template.coinbase.coinbase_address,
-            reward=template.coinbase.reward,
-            extra_nonce=extra_nonce,
-            nominal_size_bytes=template.coinbase.nominal_size_bytes,
-        )
         root = merkle_root([txid(coinbase)] + tx_leaves)
         for nonce in range(nonce_limit):
             header = BlockHeader(
@@ -121,7 +117,7 @@ def mine(
                 )
             if evaluations >= budget.max_hash_evaluations:
                 return None
-        extra_nonce += 1
+        coinbase = replace(coinbase, extra_nonce=coinbase.extra_nonce + 1)
 
 
 def evaluations_used(template: BlockTemplate, block: Block, nonce_limit: int = NONCE_SPACE) -> int:

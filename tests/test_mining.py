@@ -130,6 +130,13 @@ class TestMine:
             assert block.coinbase == cb
             assert evaluations_used(t, block) == evals
 
+    def test_first_pass_mines_the_template_coinbase(self):
+        # no coinbase is rebuilt unless the extra nonce rolls
+        t = simple_template(4, extra_nonce=3)
+        block = mine(t, MiningBudget(1 << 20))
+        assert block.coinbase.extra_nonce == 3
+        assert block.coinbase is t.coinbase
+
     def test_budget_exhaustion_returns_none(self):
         assert mine(simple_template(64), MiningBudget(10_000)) is None
 

@@ -10,7 +10,8 @@ pulls reach the critical path: a ``txreq`` is stamped at its send time (now
 plus the processing delay), which can fall after a find not yet processed,
 and slow links land many pulled transactions after the find. The 10 s
 forky case starts from a 4,000-transaction warm pool, so its blocks carry
-up to 1,999 transactions each and fork. Only a change that alters the
+up to 1,999 transactions each and fork. The ring case is the benchmark's
+second gated workload at full length. Only a change that alters the
 simulated behaviour or a metric on purpose re-pins them.
 """
 
@@ -102,6 +103,25 @@ CASES = {
             "BASELINE_FULL_BLOCK/events.ndjson": "c71db91e017eb83ef1f147f9e578a4faf58740db1c4811fb62bf908c38eea584",
             "ADVERT_PROTOCOL/events.ndjson": "d28b341dfa3a6c1102124135dc46f9f805a07dc88df7138cee0b644feb1c85a2",
             "LATE_ADVERT/events.ndjson": "fbf4cb292b64c27ec2d93a009f26932fcd1c645328ce612399c0e483ab710d13",
+        },
+    ),
+    # the benchmark's ring workload (read only), at its full 60 s: the second
+    # gated workload, an 8-node ring with about 60 tiny blocks per strategy
+    "ring": (
+        REPO_ROOT / "perfbench" / "workloads" / "ring.json",
+        1,
+        {},
+        {
+            "comparison.json": "bd78af362cbcd314ef97500c5c9e8bbe05c19a647bab30c66599e176307b998c",
+            "BASELINE_FULL_BLOCK/summary.json": "032b02abd79f68c670ab97d706efa53312c8024f91b425835da791607d6ce246",
+            "BASELINE_FULL_BLOCK/blocks.csv": "a7b8a117f62d6e5efdf079a3db184b5e50833c7e6dc9ee0dd4ed82150efb6458",
+            "ADVERT_PROTOCOL/summary.json": "e6574eb6e8203927dd18ca94b41b6e59bc60d7c260a43112663491cf8ffa1271",
+            "ADVERT_PROTOCOL/blocks.csv": "629ccaf2a3c5e4751af08f66326f154f6dfbe5be20f86249a143dab4393c8cc3",
+            "LATE_ADVERT/summary.json": "86ca5228f97351c906e03831e5f5f5101129e29e360633f79a57b2068452f38c",
+            "LATE_ADVERT/blocks.csv": "f3065fddcd4daab76b883de4370f8a920f86bb2ae49ce00b0dd8ea3c6455248d",
+            "BASELINE_FULL_BLOCK/events.ndjson": "b2204dcf01c63b2f9a53b156c6c42299cdc61fb5feabb9de720671b8f0397304",
+            "ADVERT_PROTOCOL/events.ndjson": "7130e1964a1162ec254786789a868f4c7aeafc2cdcb978b586ab8fb7abc9728e",
+            "LATE_ADVERT/events.ndjson": "a77ffca7b667ea8fcfcd834e9e7c8b24795e6d865582cce4f378da8e110843ff",
         },
     ),
 }

@@ -165,25 +165,18 @@ class TestScenarioValidation:
             _mini(hash_rate=[1.0, 2.0]).validate()
 
     def test_run_samples_the_topology_once(self, monkeypatch):
-        import advertsim.simnet as simnet
-
-        calls = []
-        real = simnet.build_topology
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(simnet, "build_topology", counting)
+        calls = self._count_samples(monkeypatch)
         sc = _mini(horizon_seconds=1.0, topology={"kind": "random_regular", "degree": 2})
         run_scenario(sc)
         assert len(calls) == 1
-        assert sc.validate() == real(sc.topology, sc.node_count, random.Random(f"{sc.seed}/topology"))
+        assert sc.validate() == build_topology(sc.topology, sc.node_count, random.Random(f"{sc.seed}/topology"))
 
     @staticmethod
     def _count_samples(monkeypatch) -> list:
+        """Count ``build_topology`` calls from an empty topology cache on."""
         import advertsim.simnet as simnet
 
+        simnet._edges.cache_clear()
         calls = []
         real = simnet.build_topology
 
@@ -223,13 +216,22 @@ class TestScenarioValidation:
         assert len(calls) == distinct
 
     def test_memoized_topology_is_a_fresh_list(self):
-        from advertsim.simnet import topologies_memoized
-
         sc = _mini(topology={"kind": "random_regular", "degree": 2}, node_count=6)
-        with topologies_memoized():
-            first = sc.validate()
-            first.clear()
-            assert sc.validate() == build_topology(sc.topology, 6, random.Random(f"{sc.seed}/topology"))
+        first = sc.validate()
+        first.clear()
+        assert sc.validate() == build_topology(sc.topology, 6, random.Random(f"{sc.seed}/topology"))
+
+    @pytest.mark.parametrize(
+        "topology",
+        [{"kind": "ring", "note": {1, 2}}, {"kind": object()}, {"kind": "ring", 1: "mixed key types"}],
+        ids=["set-value", "object-kind", "mixed-keys"],
+    )
+    def test_topology_that_is_not_json_data_is_rejected(self, topology):
+        # the topology is sampled once per canonical JSON form, so a spec with
+        # none fails validation, not the run's meta line
+        with pytest.raises(ScenarioError) as e:
+            _mini(topology=topology).validate()
+        assert e.value.field == "topology"
 
     def test_strategy_must_be_a_member(self):
         # an equal string fails the simulator's identity tests and would run
@@ -389,6 +391,23 @@ class TestOwnAdvertFloods:
             # each flood reaches every neighbour once
             assert sends[nid] == expected * len(node.neighbors)
             assert all(floods[nid, oid] == len(node.neighbors) for oid in own)
+
+
+class TestOwnAdvertInSession:
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_registry_holds_received_adverts_only(self, strategy):
+        """A node's own advert lives in its session; its registry answers only
+        for seeds it receives, which never carry its own address."""
+        data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
+        data.update(horizon_seconds=20.0, relay_strategy=strategy)
+        sim = _Sim(Scenario.from_dict(data))
+        sim.run()
+        assert any(node.proto.registry.entries for node in sim.nodes) == (strategy != "BASELINE_FULL_BLOCK")
+        for node in sim.nodes:
+            address = node.proto.address
+            assert all(a != address for a, _ in node.proto.registry.entries), node.nid
+            if strategy != "LATE_ADVERT":
+                assert node.advert.prev_block_hash == node.proto.chain.tip_hash
 
 
 class TestContentCheckedOncePerNetwork:
@@ -831,6 +850,24 @@ class TestWarmPoolFilledOnce:
         first.proto.mempool.remove(next(iter(first.proto.mempool.txs)))
         assert len(first.proto.mempool) == 50 and len(first.tx_store) == 51
         assert (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items())) == before
+
+
+    def test_each_warm_tx_is_serialized_once(self, monkeypatch):
+        # its size floor and its id are computed from the same bytes
+        import advertsim.core as core
+
+        calls = []
+        real = core.serialize
+
+        def counting(obj):
+            if type(obj) is Transaction:
+                calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(core, "serialize", counting)
+        sim = _Sim(_mini(initial_mempool_txs=50))
+        assert len(calls) == 50
+        assert [txid(tx) for tx in calls] == list(sim.nodes[0].proto.mempool.txs)
 
 
 class TestTemplateBuiltAtFind:
