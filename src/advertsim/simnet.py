@@ -30,7 +30,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
@@ -271,8 +271,13 @@ class Scenario:
             )
         _validate_dist("link_latency", self.link_latency, allow_zero=True)
         _validate_dist("link_bandwidth", self.link_bandwidth, allow_zero=False)
+        topology = self.topology
+        # the sampler reads the spec back from JSON, which turns a tuple into a list
+        if isinstance(topology, dict) and topology.get("kind") == "edges":
+            if not isinstance(topology.get("edges"), list):
+                raise ScenarioError("topology", "explicit topology needs an 'edges' list")
         try:
-            spec = json.dumps(self.topology, sort_keys=True)
+            spec = json.dumps(topology, sort_keys=True)
         except (TypeError, ValueError):
             raise ScenarioError("topology", "must be JSON data") from None
         # raises ScenarioError on malformed or disconnected topologies
@@ -358,13 +363,15 @@ def build_topology(spec: dict, n: int, rng: random.Random) -> list[tuple[int, in
     return edges
 
 
-@lru_cache(maxsize=64)
+@cache
 def _edges(spec_json: str, n: int, seed: int) -> tuple[tuple[int, int], ...]:
     """``build_topology`` of a canonical JSON spec on the scenario's own rng stream.
 
     A pure function of its arguments, so every validation and run of the
     same topology, node count and seed (a compare's strategies, a sweep's
-    values, repeated runs) shares one sample.
+    values, repeated runs) shares one sample. The cache is unbounded: a
+    sweep validates all its values before it runs any, so a bound smaller
+    than the sweep would evict each sample before its run and draw it again.
     """
     return tuple(build_topology(json.loads(spec_json), n, random.Random(f"{seed}/topology")))
 
