@@ -2,8 +2,8 @@
 
 Defines the value objects shared by every other module (hashes, addresses,
 transactions, headers, blocks), the double-SHA-256 digest primitive, the
-Merkle tree over transaction ids, a canonical byte serialization for each
-type, and the nominal wire-size model used by the network simulator.
+Merkle tree over transaction ids, the canonical bytes of each hashed type,
+and the nominal wire-size model used by the network simulator.
 
 All types are immutable after construction and safe to share freely.
 The canonical serialization is documented in docs/wire-format.md; golden
@@ -212,9 +212,11 @@ class TxResponse:
 
 # --- canonical serialization -------------------------------------------------
 #
-# Fixed-width big-endian integers, u32 length-prefixed lists, fields in
-# declaration order. Transactions carry a leading tag byte (0x00 coinbase,
-# 0x01 regular) so the two families can never serialize identically.
+# Only the hashed types have canonical bytes: transactions and headers here,
+# adverts in protocol.py; links are charged serialized_size. Fixed-width
+# big-endian integers, u32 length-prefixed lists, fields in declaration
+# order. Transactions carry a leading tag byte (0x00 coinbase, 0x01 regular)
+# so the two families can never serialize identically.
 
 _HEADER_FMT = struct.Struct(">I32s32sQHI")
 
@@ -261,28 +263,6 @@ def _(header: BlockHeader) -> bytes:
         header.difficulty_target.leading_zero_bits,
         header.nonce,
     )
-
-
-@serialize.register
-def _(block: Block) -> bytes:
-    parts = [serialize(block.header), serialize(block.coinbase)]
-    parts.append(struct.pack(">I", len(block.transactions)))
-    for tx in block.transactions:
-        parts.append(serialize(tx))
-    return b"".join(parts)
-
-
-@serialize.register
-def _(req: TxRequest) -> bytes:
-    return struct.pack(">I", len(req.hashes)) + b"".join(req.hashes)
-
-
-@serialize.register
-def _(resp: TxResponse) -> bytes:
-    parts = [struct.pack(">I", len(resp.txs))]
-    for tx in resp.txs:
-        parts.append(serialize(tx))
-    return b"".join(parts)
 
 
 def _set_txid(tx: Transaction | CoinbaseTransaction) -> None:

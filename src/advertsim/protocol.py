@@ -9,7 +9,9 @@ registered advert and its transaction store, and accepts it only if the
 fixed validation ladder passes.
 
 State containers here (registry, mempool, chain) are per-node and
-single-threaded; the messages they exchange are immutable values.
+single-threaded; the messages they exchange are immutable values. Of
+those, only the advert has canonical bytes, to feed its gossip key; a seed
+is known by its header hash.
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ class ValidationVerdict:
         return self.reason is Reason.OK
 
 
-class RegistrationResult(Enum):
-    REGISTERED = "REGISTERED"
-    DUPLICATE_REJECTED = "DUPLICATE_REJECTED"
-
-
 @dataclass(frozen=True, slots=True)
 class Advert:
     """Pre-mining announcement: who will mine, exactly what, on which tip."""
@@ -106,13 +103,6 @@ def _(advert: Advert) -> bytes:
     return b"".join(parts)
 
 
-@serialize.register
-def _(seed: BlockSeed) -> bytes:
-    return b"".join(
-        (b"\x05", seed.coinbase_address, serialize(seed.coinbase), serialize(seed.header))
-    )
-
-
 @serialized_size.register
 def _(advert: Advert) -> int:
     return ADVERT_FRAMING_BYTES + 20 + 32 + 32 * len(advert.tx_hashes)
@@ -129,12 +119,13 @@ class AdvertRegistry:
     def __init__(self) -> None:
         self.entries: dict[tuple[Address, Hash], Advert] = {}
 
-    def register(self, advert: Advert) -> RegistrationResult:
+    def register(self, advert: Advert) -> bool:
+        """Keep ``advert`` unless its key is taken; True when it was kept."""
         key = advert.key()
         if key in self.entries:
-            return RegistrationResult.DUPLICATE_REJECTED
+            return False
         self.entries[key] = advert
-        return RegistrationResult.REGISTERED
+        return True
 
     def lookup(self, address: Address, prev_block_hash: Hash) -> Advert | None:
         return self.entries.get((address, prev_block_hash))
@@ -407,17 +398,28 @@ class ChainState:
         self.utxo.update(spent)
 
 
-def _block_delta(block: Block, view: UtxoView) -> Delta:
-    """The block's effect on ``view``, its parent's UTXO set: the (outpoint,
-    entry) pairs it spends, then those it creates."""
-    get = view.get
-    spent = tuple((op, get(op)) for tx in block.transactions for op in tx.inputs)
+def _block_delta(block: Block, chain: ChainState) -> Delta | None:
+    """The block's effect on its parent's UTXO set, looking each input up
+    once: the (outpoint, entry) pairs it spends, in input order, then those
+    it creates. None if an input is missing from the parent's view or spent
+    earlier in the block, or a transaction pays out more than its inputs hold."""
+    get = chain.utxo_view_at(block.header.prev_block_hash).get
+    spent: dict[Outpoint, tuple[Address, int]] = {}
     cb = block.coinbase
     created = [((txid(cb), 0), (cb.coinbase_address, cb.reward))]
     for tx in block.transactions:
+        total_in = 0
+        for op in tx.inputs:
+            entry = get(op)
+            if entry is None or op in spent:
+                return None
+            spent[op] = entry
+            total_in += entry[1]
+        if total_in < sum(v for _, v in tx.outputs):
+            return None
         h = txid(tx)
         created.extend(((h, i), out) for i, out in enumerate(tx.outputs))
-    return spent, tuple(created)
+    return tuple(spent.items()), tuple(created)
 
 
 # --- advert construction ------------------------------------------------------
@@ -554,43 +556,19 @@ def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | N
     if rec is None or rec[1] != leaves:
         if merkle_root(leaves) != header.merkle_root:
             return ValidationVerdict(Reason.MERKLE_MISMATCH)
-        delta = _txs_valid_against_parent(block, chain)
+        delta = _block_delta(block, chain)
         if delta is None:
             return ValidationVerdict(Reason.INVALID_TX)
         chain.checked[h] = (block, leaves, delta)
     return ValidationVerdict(Reason.OK)
 
 
-def _txs_valid_against_parent(block: Block, chain: ChainState) -> Delta | None:
-    """The block's delta if every transaction is valid against the parent's
-    UTXO view with no double spend inside the block, else None."""
-    view = chain.utxo_view_at(block.header.prev_block_hash)
-    seen: set[Outpoint] = set()
-    for tx in block.transactions:
-        if not tx_valid(tx, view):
-            return None
-        for op in tx.inputs:
-            if op in seen:
-                return None
-            seen.add(op)
-    return _block_delta(block, view)
-
-
 # --- node-level acceptance ----------------------------------------------------
 
 
-@dataclass(slots=True)
-class NodeProtocolState:
-    """One node's protocol-side state; the simulator wraps networking around it."""
-
-    address: Address
-    chain: ChainState
-    mempool: Mempool
-    registry: AdvertRegistry
-
-
-def on_block_accepted(state: NodeProtocolState, block: Block) -> AddOutcome:
-    """Absorb a validated block into ``state``; return what the chain did with it.
+def on_block_accepted(chain: ChainState, pool: Mempool, registry: AdvertRegistry, block: Block) -> AddOutcome:
+    """Absorb a validated block into one node's chain, pool and registry;
+    return what the chain did with it.
 
     The tip advances (or reorgs) per longest-chain rules; included and
     conflicting transactions leave the pool; transactions from abandoned
@@ -598,16 +576,15 @@ def on_block_accepted(state: NodeProtocolState, block: Block) -> AddOutcome:
     blocks behind the new tip are evicted. The own-block and other-block
     cases are symmetric; choosing the next advert is the caller's concern.
     """
-    outcome = state.chain.add_block(block)
-    pool = state.mempool
+    outcome = chain.add_block(block)
     for blk in outcome.added:
         pool.apply_block(blk)
     if outcome.removed:
-        utxo = state.chain.utxo
+        utxo = chain.utxo
         for blk in outcome.removed:
             for tx in blk.transactions:
                 pool.add(tx, utxo)
         pool.revalidate(utxo)
     if outcome.tip_changed:
-        state.registry.evict_stale(state.chain.heights, state.chain.height)
+        registry.evict_stale(chain.heights, chain.height)
     return outcome

@@ -57,9 +57,7 @@ from .protocol import (
     BlockSeed,
     ChainState,
     Mempool,
-    NodeProtocolState,
     Reason,
-    RegistrationResult,
     SelectionPolicy,
     make_advert,
     make_block_seed,
@@ -520,9 +518,12 @@ class _PendingSeed:
 @dataclass(slots=True, eq=False)
 class _Node:
     nid: int
-    proto: NodeProtocolState
+    address: Address
+    chain: ChainState
+    mempool: Mempool
     rate: float
     mining_rng: random.Random
+    registry: AdvertRegistry = field(default_factory=AdvertRegistry)
     neighbors: dict[int, Link] = field(default_factory=dict)  # by ascending neighbour id
     tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
     seen: set[str] = field(default_factory=set)
@@ -633,13 +634,9 @@ class _Sim:
         checked: dict = {}  # every chain starts from genesis_utxo, so one record serves all
         for nid in range(sc.node_count):
             chain = ChainState(GENESIS_HASH, genesis_utxo, checked)
-            proto = NodeProtocolState(
-                address=node_address(nid),
-                chain=chain,
-                mempool=warm.copy(),
-                registry=AdvertRegistry(),
+            node = _Node(
+                nid, node_address(nid), chain, warm.copy(), rates[nid], random.Random(f"{sc.seed}/mining/{nid}")
             )
-            node = _Node(nid, proto, rates[nid], random.Random(f"{sc.seed}/mining/{nid}"))
             node.tx_store = warm.txs.copy()
             self.nodes.append(node)
 
@@ -680,7 +677,7 @@ class _Sim:
         fid = hash_bytes(b"advertsim-faucet-tx:%d" % i)
         op = (fid, 0)
         for node in self.nodes:
-            node.proto.chain.utxo[op] = _FAUCET_ENTRY
+            node.chain.utxo[op] = _FAUCET_ENTRY
         return fid
 
     def _generated_tx(self, fid: Hash, rng: random.Random) -> Transaction:
@@ -760,8 +757,7 @@ class _Sim:
         its registry: the registry answers for received seeds, and the node's
         own seed and advert come back only as copies that ``seen`` drops.
         """
-        proto = node.proto
-        advert = make_advert(proto.address, proto.chain.tip_hash, proto.mempool, self.policy)
+        advert = make_advert(node.address, node.chain.tip_hash, node.mempool, self.policy)
         if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
             self._announce(node, advert)
         return advert
@@ -790,13 +786,12 @@ class _Sim:
         Built at the find; the pool only grows within a session, so every
         advertised transaction is still in it.
         """
-        mempool = node.proto.mempool
-        txs = tuple(mempool.txs[h] for h in advert.tx_hashes)
+        txs = tuple(node.mempool.txs[h] for h in advert.tx_hashes)
         # seed the extra nonce from the parent so coinbase ids never repeat
         # across blocks by the same miner (duplicate ids would corrupt the
         # UTXO set when forks unwind)
         coinbase = CoinbaseTransaction(
-            coinbase_address=node.proto.address,
+            coinbase_address=node.address,
             reward=self.sc.block_reward,
             extra_nonce=int.from_bytes(advert.prev_block_hash[:8], "big"),
             nominal_size_bytes=self.sc.coinbase_size_bytes,
@@ -826,7 +821,7 @@ class _Sim:
         bh = block_hash(block)
         oid = bh.short()
         parent = block.header.prev_block_hash
-        height = node.proto.chain.heights[parent] + 1
+        height = node.chain.heights[parent] + 1
         self.find_time[bh] = self.now
         block_size = serialized_size(block)
         self.log.records.append(
@@ -892,7 +887,7 @@ class _Sim:
         h = txid(tx)
         if h not in node.tx_store:
             node.tx_store[h] = tx
-            node.proto.mempool.add(tx, node.proto.chain.utxo)
+            node.mempool.add(tx, node.chain.utxo)
             self._wake(node, h)
 
     def _relay_new_tx(self, node: _Node, tx: Transaction) -> None:
@@ -908,7 +903,7 @@ class _Sim:
         pull_log = node.pull_log
         if key not in pull_log:
             pull_log[key] = [(self.now, sent.val)]
-        if node.proto.registry.register(advert) is RegistrationResult.REGISTERED:  # first arrival wins
+        if node.registry.register(advert):  # first arrival wins
             missing = missing_txs(advert, node.tx_store)
             if missing:
                 self._request_txs(node, missing, sent.src, key)
@@ -920,7 +915,7 @@ class _Sim:
         # the block, so the chain cannot know it yet
         pend = _PendingSeed(msg, sent)
         # a seed parks before its first try; a full block only while its parent is unknown
-        if type(msg) is BlockSeed or not node.proto.chain.knows(msg.header.prev_block_hash):
+        if type(msg) is BlockSeed or not node.chain.knows(msg.header.prev_block_hash):
             pending = node.pending
             if len(pending) >= self.sc.pending_seed_buffer:
                 node.unpark(next(iter(pending)))  # FIFO eviction
@@ -936,16 +931,15 @@ class _Sim:
 
     def _try_seed(self, node: _Node, pend: _PendingSeed, pull: bool) -> None:
         """Validate, accept and forward a relayed seed or full block as far as knowledge allows."""
-        proto = node.proto
         msg = pend.msg
         sent = pend.sent
         header = msg.header
         if type(msg) is Block:
             block = msg
-            verdict = validate_block_baseline(block, proto.chain)
+            verdict = validate_block_baseline(block, node.chain)
         else:
             key = (msg.coinbase_address, header.prev_block_hash)
-            rec = reconstruct_block(msg, proto.registry, node.tx_store)
+            rec = reconstruct_block(msg, node.registry, node.tx_store)
             if not rec.ok:
                 if rec.missing:
                     node.set_needs(pend, frozenset(rec.missing))
@@ -955,7 +949,7 @@ class _Sim:
                     node.set_needs(pend, (key,))
                 return
             block = rec.block
-            verdict = validate_block(block, proto.registry, proto.chain)
+            verdict = validate_block(block, node.registry, node.chain)
         if verdict.reason is Reason.WRONG_PREV_HASH:
             node.set_needs(pend, (header.prev_block_hash,))
             return
@@ -1013,8 +1007,8 @@ class _Sim:
         self.log.records.append(
             LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, bh.short(), "", pb)
         )
-        proto = node.proto
-        if on_block_accepted(proto, block).tip_changed:
+        chain = node.chain
+        if on_block_accepted(chain, node.mempool, node.registry, block).tip_changed:
             self.log.records.append(
                 LogRecord(
                     self.now,
@@ -1024,9 +1018,9 @@ class _Sim:
                     "",
                     0,
                     -1,
-                    proto.chain.tip_hash.short(),
+                    chain.tip_hash.short(),
                     "",
-                    float(proto.chain.height),
+                    float(chain.height),
                 )
             )
             self._restart_mining(node)

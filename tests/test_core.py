@@ -153,6 +153,18 @@ class TestTransactionIds:
             Transaction(inputs=(), outputs=())
 
 
+class TestCanonicalBytes:
+    """Canonical bytes exist only to be hashed; links are charged nominal sizes."""
+
+    def test_only_hashed_types_have_canonical_bytes(self):
+        registered = set(serialize.registry) - {object}
+        assert registered == {Transaction, CoinbaseTransaction, BlockHeader, Advert}
+
+    def test_block_has_no_canonical_bytes(self):
+        with pytest.raises(TypeError):
+            serialize(_block_of(2))
+
+
 def merkle_oracle(leaves):
     """Independent recursive construction."""
     if len(leaves) == 1:

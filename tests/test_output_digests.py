@@ -10,9 +10,9 @@ pulls reach the critical path: a ``txreq`` is stamped at its send time (now
 plus the processing delay), which can fall after a find not yet processed,
 and slow links land many pulled transactions after the find. The 10 s
 forky case starts from a 4,000-transaction warm pool, so its blocks carry
-up to 1,999 transactions each and fork. The ring case is the benchmark's
-second gated workload at full length. Only a change that alters the
-simulated behaviour or a metric on purpose re-pins them.
+up to 1,999 transactions each and fork. The forky-cold and ring cases are
+the benchmark's two gated workloads at full length. Only a change that
+alters the simulated behaviour or a metric on purpose re-pins them.
 """
 
 import hashlib
@@ -103,6 +103,25 @@ CASES = {
             "BASELINE_FULL_BLOCK/events.ndjson": "c71db91e017eb83ef1f147f9e578a4faf58740db1c4811fb62bf908c38eea584",
             "ADVERT_PROTOCOL/events.ndjson": "d28b341dfa3a6c1102124135dc46f9f805a07dc88df7138cee0b644feb1c85a2",
             "LATE_ADVERT/events.ndjson": "fbf4cb292b64c27ec2d93a009f26932fcd1c645328ce612399c0e483ab710d13",
+        },
+    ),
+    # the benchmark's forky-cold workload (read only), at its full 60 s: the
+    # gated workload, whose 30 s cuts above miss its second half
+    "forky-cold": (
+        REPO_ROOT / "perfbench" / "workloads" / "forky-cold.json",
+        1,
+        {},
+        {
+            "comparison.json": "0018d6fd7d50892e3154ea608171b3ea70e2482f29fcf71a3ef2a4ed947f0911",
+            "BASELINE_FULL_BLOCK/summary.json": "ef4cf1fd8028e67bfe14807b1d55ae32052334ddd78f4cc9dc23f3dd6f0f5f0f",
+            "BASELINE_FULL_BLOCK/blocks.csv": "dc9044b0aa112a482d73e67e7aff7ac733cda1aec82cd3fb4fca06dc12f37867",
+            "ADVERT_PROTOCOL/summary.json": "e49b72f99c825bedb30185de317452cfe362991c86a5de50d3ca9ca61ba14bf1",
+            "ADVERT_PROTOCOL/blocks.csv": "3852764768360b642641d96b6f335a36554e85ebf7317bf11162749ab5eb8edc",
+            "LATE_ADVERT/summary.json": "fd4d940a2287edfd03d26cb1fdb132fa27759de3ba48117b6a97735914068fe6",
+            "LATE_ADVERT/blocks.csv": "310425bd8fc6f60f6743fe691d6ac29d0299e018eb1208bef3e9c6e5ca476b95",
+            "BASELINE_FULL_BLOCK/events.ndjson": "fa1f04158943ce2a583a87129307b1247fe248b28eaa026c4c5581b5bc1d8193",
+            "ADVERT_PROTOCOL/events.ndjson": "7fcc0342689648a766e5bd9695046e1b7b6edd0fff336c5ea240a6c6b0836004",
+            "LATE_ADVERT/events.ndjson": "3b03ee5752b87414767dc92dcad174bfb22c68491c02398f7c0a28d698f18652",
         },
     ),
     # the benchmark's ring workload (read only), at its full 60 s: the second

@@ -24,9 +24,7 @@ from advertsim.protocol import (
     BlockSeed,
     ChainState,
     Mempool,
-    NodeProtocolState,
     Reason,
-    RegistrationResult,
     SelectionPolicy,
     UtxoView,
     make_advert,
@@ -87,7 +85,7 @@ class TestRegistry:
         rng = random.Random(5)
         reg = AdvertRegistry()
         advert = make_advert(rand_address(rng), rand_hash(rng), Mempool())
-        assert reg.register(advert) is RegistrationResult.REGISTERED
+        assert reg.register(advert) is True
 
     def test_second_advert_for_same_pair_rejected_first_retained(self):
         rng = random.Random(6)
@@ -95,8 +93,8 @@ class TestRegistry:
         first = Advert(coinbase_address=addr, tx_hashes=(rand_hash(rng),), prev_block_hash=tip)
         second = Advert(coinbase_address=addr, tx_hashes=(rand_hash(rng),), prev_block_hash=tip)
         reg = AdvertRegistry()
-        assert reg.register(first) is RegistrationResult.REGISTERED
-        assert reg.register(second) is RegistrationResult.DUPLICATE_REJECTED
+        assert reg.register(first) is True
+        assert reg.register(second) is False
         assert reg.lookup(addr, tip) is first
 
     def test_same_address_different_tip_both_register(self):
@@ -105,8 +103,8 @@ class TestRegistry:
         a1 = Advert(coinbase_address=addr, tx_hashes=(), prev_block_hash=rand_hash(rng))
         a2 = Advert(coinbase_address=addr, tx_hashes=(), prev_block_hash=rand_hash(rng))
         reg = AdvertRegistry()
-        assert reg.register(a1) is RegistrationResult.REGISTERED
-        assert reg.register(a2) is RegistrationResult.REGISTERED
+        assert reg.register(a1) is True
+        assert reg.register(a2) is True
         assert len(reg) == 2
 
     def test_randomized_first_arrival_wins(self):
@@ -352,51 +350,49 @@ class TestValidationLadder:
         tampered = _remined(bundle.block, merkle=bad_root)
         assert validate_block(tampered, bundle.registry, bundle.chain).reason is Reason.MERKLE_MISMATCH
 
-    def test_unfunded_tx_is_invalid(self):
+    @pytest.mark.parametrize("fault", ["unfunded-input", "double-spend", "input-listed-twice", "overspend"])
+    def test_invalid_tx_is_rejected_and_not_recorded(self, fault):
+        """Every way a transaction fails against the parent's UTXO view is
+        INVALID_TX under both rules, and the failed content is not recorded."""
         rng = random.Random(27)
         genesis = rand_hash(rng)
         utxo = {}
-        good = funded_tx(rng, utxo)
-        bogus = Transaction(inputs=((rand_hash(rng), 0),), outputs=((rand_address(rng), 5),))
-        chain = ChainState(genesis, utxo)
-        pool = Mempool()
-        pool.insert_unchecked(good)
-        pool.insert_unchecked(bogus)
         addr = rand_address(rng)
-        advert = make_advert(addr, genesis, pool)
-        assert set(advert.tx_hashes) == {txid(good), txid(bogus)}
-        reg = AdvertRegistry()
-        reg.register(advert)
-        t = BlockTemplate(
-            prev_block_hash=genesis,
-            coinbase=CoinbaseTransaction(coinbase_address=addr, reward=50),
-            transactions=tuple(pool.txs[h] for h in advert.tx_hashes),
-            difficulty_target=CompactTarget(4),
-        )
-        block = mine(t, MINE_BUDGET)
-        assert validate_block(block, reg, chain).reason is Reason.INVALID_TX
-
-    def test_double_spend_within_block_is_invalid(self):
-        rng = random.Random(28)
-        genesis = rand_hash(rng)
-        utxo = {}
         op = (rand_hash(rng), 0)
         utxo[op] = (rand_address(rng), 100)
-        t1 = Transaction(inputs=(op,), outputs=((rand_address(rng), 50),))
-        t2 = Transaction(inputs=(op,), outputs=((rand_address(rng), 60),))
+        if fault == "unfunded-input":
+            good = funded_tx(rng, utxo)
+            bogus = Transaction(inputs=((rand_hash(rng), 0),), outputs=((rand_address(rng), 5),))
+            pool = Mempool()
+            pool.insert_unchecked(good)
+            pool.insert_unchecked(bogus)
+            advert = make_advert(addr, genesis, pool)
+            assert set(advert.tx_hashes) == {txid(good), txid(bogus)}
+            txs = tuple(pool.txs[h] for h in advert.tx_hashes)
+        else:
+            if fault == "double-spend":  # two transactions, each funded on its own
+                txs = (
+                    Transaction(inputs=(op,), outputs=((rand_address(rng), 50),)),
+                    Transaction(inputs=(op,), outputs=((rand_address(rng), 60),)),
+                )
+            elif fault == "input-listed-twice":  # pays out no more than one copy holds
+                txs = (Transaction(inputs=(op, op), outputs=((rand_address(rng), 100),)),)
+            else:
+                txs = (Transaction(inputs=(op,), outputs=((rand_address(rng), 101),)),)
+            advert = Advert(coinbase_address=addr, tx_hashes=tuple(txid(t) for t in txs), prev_block_hash=genesis)
         chain = ChainState(genesis, utxo)
-        addr = rand_address(rng)
-        advert = Advert(coinbase_address=addr, tx_hashes=(txid(t1), txid(t2)), prev_block_hash=genesis)
         reg = AdvertRegistry()
         reg.register(advert)
         template = BlockTemplate(
             prev_block_hash=genesis,
             coinbase=CoinbaseTransaction(coinbase_address=addr, reward=50),
-            transactions=(t1, t2),
+            transactions=txs,
             difficulty_target=CompactTarget(4),
         )
         block = mine(template, MINE_BUDGET)
         assert validate_block(block, reg, chain).reason is Reason.INVALID_TX
+        assert validate_block_baseline(block, chain).reason is Reason.INVALID_TX
+        assert chain.checked == {}
 
     def test_baseline_rule_ignores_adverts(self):
         rng = random.Random(29)
@@ -427,11 +423,9 @@ class TestSharedContentRecord:
         bundle = advertised_block(rng, bits=4, ntx=5)
         checked, a, b = self._network(bundle)
         calls = []
-        merkle, valid = protocol.merkle_root, protocol._txs_valid_against_parent
+        merkle, valid = protocol.merkle_root, protocol._block_delta
         monkeypatch.setattr(protocol, "merkle_root", lambda leaves: calls.append("merkle") or merkle(leaves))
-        monkeypatch.setattr(
-            protocol, "_txs_valid_against_parent", lambda blk, ch: calls.append("valid") or valid(blk, ch)
-        )
+        monkeypatch.setattr(protocol, "_block_delta", lambda blk, ch: calls.append("valid") or valid(blk, ch))
         assert validate_block(bundle.block, bundle.registry, a).accepted
         assert list(checked) == [block_hash(bundle.block)]
         assert validate_block_baseline(bundle.block, b).accepted
@@ -490,7 +484,7 @@ class TestSharedContentRecord:
         checked, a, b = self._network(bundle)
         calls = []
         delta = protocol._block_delta
-        monkeypatch.setattr(protocol, "_block_delta", lambda blk, view: calls.append(blk) or delta(blk, view))
+        monkeypatch.setattr(protocol, "_block_delta", lambda blk, chain: calls.append(blk) or delta(blk, chain))
         for chain in (a, b):
             assert validate_block(bundle.block, bundle.registry, chain).accepted
             assert chain.add_block(bundle.block).kind == "extended"
@@ -617,27 +611,22 @@ class TestUtxoReplayOracle:
 
 
 class TestOnBlockAccepted:
-    def _state(self, bundle):
-        return NodeProtocolState(
-            address=bundle.address,
-            chain=bundle.chain,
-            mempool=bundle.mempool,
-            registry=bundle.registry,
-        )
+    @staticmethod
+    def _accept(bundle, block):
+        return on_block_accepted(bundle.chain, bundle.mempool, bundle.registry, block)
 
     def test_own_block_yields_immediate_next_advert(self):
         rng = random.Random(30)
         bundle = advertised_block(rng, bits=0, ntx=3)
         leftover = funded_tx(rng, bundle.chain.utxo)
         bundle.mempool.add(leftover, bundle.chain.utxo)
-        state = self._state(bundle)
-        assert on_block_accepted(state, bundle.block).kind == "extended"
-        chain = state.chain
+        assert self._accept(bundle, bundle.block).kind == "extended"
+        chain = bundle.chain
         assert chain.tip_hash == block_hash(bundle.block)
         assert chain.height == 1
         # the next list is chosen by the caller, over the updated pool
-        assert state.registry.lookup(bundle.address, chain.tip_hash) is None
-        advert = make_advert(state.address, chain.tip_hash, state.mempool)
+        assert bundle.registry.lookup(bundle.address, chain.tip_hash) is None
+        advert = make_advert(bundle.address, chain.tip_hash, bundle.mempool)
         assert advert.prev_block_hash == block_hash(bundle.block)
         assert advert.tx_hashes == (txid(leftover),)
 
@@ -653,9 +642,8 @@ class TestOnBlockAccepted:
             difficulty_target=CompactTarget(0),
         )
         competitor = mine(comp_template, MINE_BUDGET)
-        state = self._state(bundle)
-        assert on_block_accepted(state, competitor).kind == "extended"
-        advert = make_advert(state.address, state.chain.tip_hash, state.mempool)
+        assert self._accept(bundle, competitor).kind == "extended"
+        advert = make_advert(bundle.address, bundle.chain.tip_hash, bundle.mempool)
         assert advert.prev_block_hash == block_hash(competitor)
         remaining = {txid(t) for t in bundle.block.transactions[2:]}
         assert set(advert.tx_hashes) == remaining
@@ -666,10 +654,9 @@ class TestOnBlockAccepted:
         op = bundle.block.transactions[0].inputs[0]
         conflictor = Transaction(inputs=(op,), outputs=((rand_address(rng), 7),))
         bundle.mempool.insert_unchecked(conflictor)
-        state = self._state(bundle)
-        assert on_block_accepted(state, bundle.block).kind == "extended"
-        assert txid(conflictor) not in state.mempool
-        assert len(state.mempool) == 0
+        assert self._accept(bundle, bundle.block).kind == "extended"
+        assert txid(conflictor) not in bundle.mempool
+        assert len(bundle.mempool) == 0
 
     def test_reorg_restores_and_revalidates_mempool(self):
         rng = random.Random(33)
@@ -698,16 +685,16 @@ class TestOnBlockAccepted:
         block_b1 = mined(genesis, miner_b, ())  # branch B: empty blocks
         block_b2 = mined(block_hash(block_b1), miner_b, (tx_b,), extra=1)
 
-        state = NodeProtocolState(address=miner_a, chain=chain, mempool=pool, registry=AdvertRegistry())
-        assert on_block_accepted(state, block_a).kind == "extended"
+        registry = AdvertRegistry()
+        assert on_block_accepted(chain, pool, registry, block_a).kind == "extended"
         assert chain.tip_hash == block_hash(block_a)
         assert txid(tx_a) not in pool
 
-        outcome = on_block_accepted(state, block_b1)  # side branch, no adoption yet
+        outcome = on_block_accepted(chain, pool, registry, block_b1)  # side branch, no adoption yet
         assert outcome.kind == "side" and not outcome.tip_changed
         assert chain.tip_hash == block_hash(block_a)
 
-        outcome = on_block_accepted(state, block_b2)  # longer branch wins
+        outcome = on_block_accepted(chain, pool, registry, block_b2)  # longer branch wins
         assert outcome.kind == "reorged"
         assert outcome.removed == (block_a,) and outcome.added == (block_b1, block_b2)
         assert chain.tip_hash == block_hash(block_b2)
@@ -736,12 +723,11 @@ class TestOnBlockAccepted:
             ),
             MINE_BUDGET,
         )
-        state = self._state(bundle)
-        assert on_block_accepted(state, bundle.block).kind == "extended"
-        tip = state.chain.tip_hash
-        assert on_block_accepted(state, rival).kind == "side"
-        assert state.chain.tip_hash == tip  # ties never displace the tip
-        assert state.chain.knows(block_hash(rival))
+        assert self._accept(bundle, bundle.block).kind == "extended"
+        tip = bundle.chain.tip_hash
+        assert self._accept(bundle, rival).kind == "side"
+        assert bundle.chain.tip_hash == tip  # ties never displace the tip
+        assert bundle.chain.knows(block_hash(rival))
 
 
 class TestMempool:

@@ -419,10 +419,10 @@ class TestOwnAdvertInSession:
         data.update(horizon_seconds=20.0, relay_strategy=strategy)
         sim = _Sim(Scenario.from_dict(data))
         sim.run()
-        assert any(node.proto.registry.entries for node in sim.nodes)
+        assert any(node.registry.entries for node in sim.nodes)
         for node in sim.nodes:
-            address = node.proto.address
-            assert all(a != address for a, _ in node.proto.registry.entries), node.nid
+            address = node.address
+            assert all(a != address for a, _ in node.registry.entries), node.nid
 
 
 class TestContentCheckedOncePerNetwork:
@@ -457,7 +457,7 @@ class TestContentCheckedOncePerNetwork:
 
         calls = []
         real = protocol._block_delta
-        monkeypatch.setattr(protocol, "_block_delta", lambda block, view: calls.append(1) or real(block, view))
+        monkeypatch.setattr(protocol, "_block_delta", lambda block, chain: calls.append(1) or real(block, chain))
         data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
         data.update(horizon_seconds=20.0, relay_strategy=strategy)
         log = run_scenario(Scenario.from_dict(data))
@@ -492,7 +492,7 @@ class TestConvergence:
             if r.kind == "block_accept":
                 acceptors[r.oid].add(r.src)
         stranded = [oid for oid in early if len(acceptors[oid]) < len(sim.nodes)]
-        gap = max(top - node.proto.chain.height for node in sim.nodes)
+        gap = max(top - node.chain.height for node in sim.nodes)
         assert early
         assert not stranded, f"{len(stranded)} of {len(early)} early blocks miss a node"
         assert gap <= 2, f"a node ends {gap:g} blocks below the highest block found"
@@ -714,7 +714,7 @@ class _FullScanSim(_CountingSim):
         is_tx = False
         if pull:  # an advert key
             parked = [(h, p) for h, p in parked if (p.msg.coinbase_address, p.msg.header.prev_block_hash) == arrived]
-        elif node.proto.chain.knows(arrived):  # an accepted block
+        elif node.chain.knows(arrived):  # an accepted block
             parked = [(h, p) for h, p in parked if p.msg.header.prev_block_hash == arrived]
         else:
             is_tx = True
@@ -818,7 +818,7 @@ class TestFaucetMintedOnDemand:
         minted = [(_faucet_id(i), 0) for i in range(sim.faucet_next)]
         spent_somewhere = False
         for node in sim.nodes:
-            chain = node.proto.chain
+            chain = node.chain
             spent = set()
             h = chain.tip_hash
             while h != chain.genesis_hash:
@@ -847,23 +847,23 @@ class TestWarmPoolFilledOnce:
         sim = _Sim(_mini(initial_mempool_txs=50))
         order = [(_faucet_id(i), 0) for i in range(50)]
         for node in sim.nodes:
-            pool = node.proto.mempool
+            pool = node.mempool
             assert [tx.inputs[0] for tx in pool.txs.values()] == order
             assert list(pool.spent_outpoints) == order
             assert list(pool.spent_outpoints.values()) == list(pool.txs)
             assert list(node.tx_store) == list(pool.txs)
-            assert set(node.proto.chain.utxo) == set(order)
+            assert set(node.chain.utxo) == set(order)
 
     def test_pools_are_independent(self):
         sim = _Sim(_mini(initial_mempool_txs=50))
         first, second = sim.nodes[0], sim.nodes[1]
-        pool = second.proto.mempool
+        pool = second.mempool
         before = (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items()))
         extra = sim._generated_tx(sim._next_faucet(), random.Random(0))
-        assert first.proto.mempool.add(extra, first.proto.chain.utxo)
+        assert first.mempool.add(extra, first.chain.utxo)
         first.tx_store[txid(extra)] = extra
-        first.proto.mempool.remove(next(iter(first.proto.mempool.txs)))
-        assert len(first.proto.mempool) == 50 and len(first.tx_store) == 51
+        first.mempool.remove(next(iter(first.mempool.txs)))
+        assert len(first.mempool) == 50 and len(first.tx_store) == 51
         assert (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items())) == before
 
 
@@ -882,7 +882,7 @@ class TestWarmPoolFilledOnce:
         monkeypatch.setattr(core, "serialize", counting)
         sim = _Sim(_mini(initial_mempool_txs=50))
         assert len(calls) == 50
-        assert [txid(tx) for tx in calls] == list(sim.nodes[0].proto.mempool.txs)
+        assert [txid(tx) for tx in calls] == list(sim.nodes[0].mempool.txs)
 
 
 class TestTemplateBuiltAtFind:
@@ -890,7 +890,7 @@ class TestTemplateBuiltAtFind:
     def test_header_timestamp_is_the_second_the_list_was_chosen(self, strategy):
         sim = _Sim(_forky_cold(horizon_seconds=10.0, relay_strategy=strategy))
         log = sim.run()
-        headers = {h.short(): rec[0].header for h, rec in sim.nodes[0].proto.chain.checked.items()}
+        headers = {h.short(): rec[0].header for h, rec in sim.nodes[0].chain.checked.items()}
         started = {}  # a session starts at t = 0 and at each tip change
         crossed = 0
         for r in log.records:
