@@ -202,13 +202,19 @@ class Mempool:
                     del self.spent_outpoints[op]
 
     def apply_block(self, block: Block) -> None:
-        """Drop transactions included in ``block`` or conflicting with it."""
+        """Drop transactions included in ``block`` or conflicting with it.
+
+        One pass over each input: the pooled spender of an outpoint the block
+        spends is either the included transaction itself or a conflict.
+        """
+        spent = self.spent_outpoints
         for tx in block.transactions:
-            self.remove(txid(tx))
+            h = txid(tx)
             for op in tx.inputs:
-                conflictor = self.spent_outpoints.get(op)
-                if conflictor is not None:
-                    self.remove(conflictor)
+                c = spent.pop(op, None)
+                if c is not None and c != h:
+                    self.remove(c)
+            self.txs.pop(h, None)
 
     def revalidate(self, utxo: "UtxoView | dict") -> list[Hash]:
         """Drop every pooled transaction no longer valid; returns dropped ids."""
@@ -464,7 +470,10 @@ def make_advert(
 
 def missing_txs(advert: Advert, mempool: Mempool | dict[Hash, Transaction]) -> list[Hash]:
     """Advertised hashes not in the pool (a Mempool or a txid map), in advert order."""
-    return [h for h in advert.tx_hashes if h not in mempool]
+    hashes = advert.tx_hashes
+    if all(map(mempool.__contains__, hashes)):  # nothing to pull, as in over 99% of calls
+        return []
+    return [h for h in hashes if h not in mempool]
 
 
 def make_block_seed(block: Block) -> BlockSeed:

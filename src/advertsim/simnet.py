@@ -415,15 +415,16 @@ def _connected(n: int, edges) -> bool:
 
 # Compact JSON; sorted keys only matter for the meta line.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# One record line exactly as _encode writes it: json prints ints and finite
-# floats as their repr(), and the string columns are fixed words and hex ids,
-# which need no escaping.
-_RECORD = '[%r,"%s",%r,%r,"%s",%r,%r,"%s","%s",%r]\n'
 _CHUNK_LINES = 1024
 
 
 class LogRecord(NamedTuple):
-    """One simulator event. Unused columns hold '' / -1 / 0."""
+    """One simulator event. Unused columns hold '' / -1 / 0.
+
+    The log writer relies on the column types: ``t`` and ``val`` hold
+    floats; ``src``, ``dst``, ``size`` and ``mid`` hold ints, never bools;
+    the string columns hold fixed words and hex ids, which need no escaping.
+    """
 
     t: float
     kind: str  # meta|send|deliver|tx_arrival|block_found|block_accept|tip_adopt
@@ -456,13 +457,26 @@ class EventLog:
     def _texts(self) -> Iterator[str]:
         """The serialized log as newline-terminated lines, _CHUNK_LINES records per piece.
 
-        Bounded pieces keep peak memory at one piece, not one log.
+        Bounded pieces keep peak memory at one piece, not one log. A time
+        equal to the previous record's reuses its text, except zero, as
+        0.0 == -0.0 but the two print differently.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
+        t_last = t_text = None
         for i in range(0, len(records), _CHUNK_LINES):
             batch = records[i : i + _CHUNK_LINES]
-            text = "".join([_RECORD % r for r in batch])
+            lines = []
+            for t, kind, src, dst, msg, size, mid, oid, ref, val in batch:
+                if t != t_last or not t:
+                    t_last, t_text = t, repr(t)
+                # each line exactly as _encode writes it: json prints ints and
+                # finite floats as their repr(), and the string columns are
+                # fixed words and hex ids, which need no escaping
+                lines.append(
+                    f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size!r},{mid!r},"{oid}","{ref}",{val!r}]\n'
+                )
+            text = "".join(lines)
             if "inf" in text or "nan" in text:
                 # a non-finite float: repr() spells it inf/nan, json Infinity/NaN.
                 # No fixed word or hex id contains either substring.

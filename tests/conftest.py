@@ -1,9 +1,13 @@
 """Shared builders for protocol-level tests."""
 
 from dataclasses import dataclass
+from pathlib import Path
 import random
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from advertsim.core import (
     Address,
@@ -23,6 +27,13 @@ from advertsim.protocol import (
 from advertsim.simnet import collector_paused
 
 MINE_BUDGET = MiningBudget(1 << 24)
+
+# Property tests draw the same examples on every run and write nothing into
+# the checkout: no example database, and hypothesis's own caches go to the
+# system temporary directory.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "advertsim-hypothesis")
 
 
 @pytest.fixture(autouse=True)

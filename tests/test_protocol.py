@@ -1,6 +1,7 @@
 """Advert lifecycle, reconstruction, the validation ladder, and chain growth."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,7 +146,9 @@ class TestMissingTxs:
     def test_all_present(self):
         rng = random.Random(10)
         bundle = advertised_block(rng, bits=0)
+        assert bundle.advert.tx_hashes
         assert missing_txs(bundle.advert, bundle.mempool) == []
+        assert missing_txs(bundle.advert, bundle.mempool.txs) == []  # a txid map answers alike
 
     def test_none_present(self):
         rng = random.Random(11)
@@ -164,6 +167,7 @@ class TestMissingTxs:
         pool = Mempool()
         pool.insert_unchecked(b)
         assert missing_txs(advert, pool) == [txid(a), txid(c)]
+        assert missing_txs(advert, pool.txs) == [txid(a), txid(c)]  # a txid map answers alike
 
 
 class TestBlockSeed:
@@ -761,3 +765,37 @@ class TestMempool:
         bundle.mempool.insert_unchecked(conflictor)
         bundle.mempool.apply_block(bundle.block)
         assert len(bundle.mempool) == 0
+
+    @staticmethod
+    def _apply_block_two_pass(pool: Mempool, block) -> None:
+        """The reference: drop each included transaction, then look up each of
+        its inputs again for a conflicting spender."""
+        for tx in block.transactions:
+            pool.remove(txid(tx))
+            for op in tx.inputs:
+                conflictor = pool.spent_outpoints.get(op)
+                if conflictor is not None:
+                    pool.remove(conflictor)
+
+    def test_apply_block_matches_the_two_pass_reference(self):
+        rng = random.Random(38)
+        for _ in range(2000):
+            ops = [(rand_hash(rng), rng.randrange(2)) for _ in range(rng.randint(1, 8))]
+
+            def tx():
+                inputs = tuple(rng.choice(ops) for _ in range(rng.randint(1, 3)))  # repeats included
+                return Transaction(inputs=inputs, outputs=((rand_address(rng), rng.randint(1, 9)),))
+
+            pool = Mempool()
+            for t in [tx() for _ in range(rng.randint(0, 6))]:
+                pool.insert_unchecked(t)  # conflicts within the pool included
+            pooled = list(pool.txs.values())
+            # included transactions: pooled ones and ones the pool never saw
+            included = rng.sample(pooled, rng.randint(0, len(pooled))) + [tx() for _ in range(rng.randint(0, 2))]
+            rng.shuffle(included)
+            block = SimpleNamespace(transactions=tuple(included))
+            expected = pool.copy()
+            self._apply_block_two_pass(expected, block)
+            pool.apply_block(block)
+            assert list(pool.txs.items()) == list(expected.txs.items())  # arrival order kept
+            assert list(pool.spent_outpoints.items()) == list(expected.spent_outpoints.items())

@@ -4,10 +4,14 @@ import collections
 import gc
 import hashlib
 import json
+import math
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advertsim.core import Transaction, hash_bytes, serialized_size, txid
 from advertsim.metrics import summarize
@@ -564,6 +568,76 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
 
 
+# finite floats, zeros of both signs and repeats common; inf and nan are put
+# in by _log_records, rarely, as they make a whole chunk go through json
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.5]), st.floats(allow_nan=False, allow_infinity=False))
+_INTS = st.integers(min_value=-1, max_value=2**70)
+_WORDS = st.sampled_from(["", "tx", "advert", "seed", "block", "txreq", "txresp"])
+_IDS = st.one_of(st.just(""), st.text("0123456789abcdef", min_size=16, max_size=16))
+# one strategy per LogRecord column, in order
+_COLUMNS = (
+    _FLOATS,
+    st.sampled_from(["send", "deliver", "tx_arrival", "block_found", "block_accept", "tip_adopt"]),
+    _INTS,
+    _INTS,
+    _WORDS,
+    _INTS,
+    _INTS,
+    _IDS,
+    _IDS,
+    _FLOATS,
+)
+_FILLER = LogRecord(0.5, "tip_adopt", 0, -1, "", 0, -1, "0123456789abcdef", "", 1.0)
+
+
+@st.composite
+def _log_records(draw) -> list:
+    """Records with the declared column types, rich in send/deliver pairs:
+    exact pairs (the deliver holding its send's columns, as ``run`` builds
+    it), pairs with one column changed (a fresh value, or 0.0 against
+    -0.0), a deliver before its send or with no send, now and then an inf
+    or a nan, and, when split, filler that puts the chunk boundary anywhere
+    in the list."""
+
+    def record(kind=None):
+        cols = [draw(s) for s in _COLUMNS]
+        if kind is not None:
+            cols[1] = kind
+        return LogRecord(*cols)
+
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        if not draw(st.booleans()):
+            records.append(record())
+            continue
+        send = record("send")
+        cols = [draw(st.one_of(st.just(send.t), _FLOATS)), "deliver", *send[2:]]
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                j = draw(st.integers(2, 9))
+                cols[j] = draw(_COLUMNS[j])
+            else:
+                zero = draw(st.sampled_from([0.0, -0.0]))
+                send = send._replace(val=zero)
+                cols[9] = -zero
+        deliver = LogRecord(*cols)
+        order = draw(st.sampled_from(["send first", "deliver first", "no send"]))
+        if order == "send first":
+            records += [send, *[record() for _ in range(draw(st.integers(0, 2)))], deliver]
+        elif order == "deliver first":
+            records += [deliver, send]
+        else:
+            records.append(deliver)
+    if records and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(records) - 1))
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        records[i] = records[i]._replace(**{draw(st.sampled_from(["t", "val"])): bad})
+    if records and draw(st.booleans()):
+        k = draw(st.integers(0, len(records)))  # records[:k] end the first chunk
+        records[:0] = [_FILLER] * (1024 - k)
+    return records
+
+
 class TestLogFormat:
     """Each record line is written byte for byte as json writes the record."""
 
@@ -626,6 +700,14 @@ class TestLogFormat:
         )
         self._assert_written_as_json(log, tmp_path)
         assert json.dumps(bad) in list(log.lines())[701]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_log_records())
+    def test_any_records_match_json(self, records):
+        log = EventLog({"schema": 1})
+        log.records.extend(records)
+        with tempfile.TemporaryDirectory() as d:
+            self._assert_written_as_json(log, Path(d))
 
 
 class TestFloodCompleteness:
