@@ -25,7 +25,7 @@ from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .metrics import _write_json, _write_run_outputs
-from .simnet import RelayStrategy, Scenario, ScenarioError, collector_paused, run_scenario
+from .simnet import RelayStrategy, Scenario, ScenarioError, collector_paused, drop_workload, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -244,9 +244,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        # a command's logs make no cycles
+        # a command's logs make no cycles; its runs share one workload per
+        # key, freed with the rest of the command
         with collector_paused():
-            return args.func(args)
+            try:
+                return args.func(args)
+            finally:
+                drop_workload()
     except (ScenarioError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCENARIO

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .core import (
     ADVERT_FRAMING_BYTES,
@@ -183,6 +184,14 @@ class Mempool:
         pool = Mempool()
         pool.txs = self.txs.copy()
         pool.spent_outpoints = self.spent_outpoints.copy()
+        return pool
+
+    def head(self, n: int) -> "Mempool":
+        """A pool of the first ``n`` transactions in arrival order: this pool
+        as it stood when it held ``n``, if it has only grown since."""
+        pool = Mempool()
+        for h, tx in islice(self.txs.items(), n):
+            pool._insert(h, tx)
         return pool
 
     def insert_unchecked(self, tx: Transaction) -> None:

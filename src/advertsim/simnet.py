@@ -550,7 +550,8 @@ class _Node:
     waiting: dict = field(default_factory=dict)
     session: int = 0
     started: float = 0.0  # when the current mining session began
-    advert: Advert | None = None  # the session's own advert; LATE chooses it at the find
+    advert: Advert | None = None  # ADVERT: the session's own advert; the others choose theirs at the find
+    pool_at_start: int = 0  # BASELINE: the pool's size when the session began
     # per advert key, (time, bytes) of the advert's first arrival, then of each
     # pull made for it: the bytes that may count as post-find on the critical path
     pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = field(default_factory=dict)
@@ -578,6 +579,92 @@ class _Node:
 
 def node_address(nid: int) -> Address:
     return Address(hash_bytes(b"advertsim-node:%d" % nid)[:20])
+
+
+# --- transaction workload -------------------------------------------------
+
+
+class _Workload:
+    """A scenario's transactions: the warm pool and the faucet arrival stream.
+
+    Both are functions of the five fields of ``_workload``'s key alone, and
+    transactions are immutable, so every run of a key reads one copy: a
+    run copies ``warm`` into each node (a chain copies ``genesis_utxo``) and
+    changes neither, and it reads the stream in order up to its own
+    ``n_faucet``. Faucet output *i* funds the *i*-th transaction: the warm
+    pool spends the first ``initial_mempool_txs``, the arrivals the rest.
+    """
+
+    def __init__(self, seed: int, initial_mempool_txs: int, tx_size_bytes: int, tx_rate: float, node_count: int):
+        self.initial_mempool_txs = initial_mempool_txs
+        self.tx_size_bytes = tx_size_bytes
+        self.tx_rate = tx_rate
+        self.node_count = node_count
+        # one pool takes the warm transactions and every node copies it; the
+        # outputs they spend, minted before any chain exists, are the genesis
+        # UTXO set
+        self.warm = warm = Mempool()
+        warm_rng = random.Random(f"{seed}/warm")
+        for i in range(initial_mempool_txs):
+            warm.insert_unchecked(self._faucet_tx(i, warm_rng))
+        self.genesis_utxo = dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
+        self.rng = random.Random(f"{seed}/arrivals")
+        self.gap0: float | None = None
+        # arrival k: (transaction, origin node, seconds to arrival k + 1,
+        # gossip oid, short txid, wire size); drawn when a run first needs it
+        self.arrivals: list[tuple[Transaction, int, float, str, str, int]] = []
+
+    def _faucet_tx(self, i: int, rng: random.Random) -> Transaction:
+        """Spend faucet output ``i`` to an address drawn from ``rng``."""
+        fid = hash_bytes(b"advertsim-faucet-tx:%d" % i)
+        recipient = Address(rng.randbytes(20))
+        return Transaction(
+            inputs=((fid, 0),), outputs=((recipient, FAUCET_VALUE),), nominal_size_bytes=self.tx_size_bytes
+        )
+
+    def first_gap(self) -> float:
+        """Seconds from the start to arrival 0: the stream's first draw."""
+        if self.gap0 is None:
+            self.gap0 = self.rng.expovariate(self.tx_rate)
+        return self.gap0
+
+    def arrival(self, k: int) -> tuple[Transaction, int, float, str, str, int]:
+        """Arrival ``k``. Runs read the stream in order after ``first_gap``, so
+        the stream's rng draws as one run would: the first gap, then per
+        arrival its recipient, its origin and the gap to the next."""
+        arrivals = self.arrivals
+        if k == len(arrivals):
+            rng = self.rng
+            tx = self._faucet_tx(self.initial_mempool_txs + k, rng)
+            origin = rng.randrange(self.node_count)
+            gap = rng.expovariate(self.tx_rate)
+            arrivals.append((tx, origin, gap, gossip_dedup_key(tx).short(), txid(tx).short(), serialized_size(tx)))
+        return arrivals[k]
+
+
+# the cached workload, as [(key, workload)], or empty
+_WORKLOAD: list[tuple[tuple, _Workload]] = []
+
+
+def _workload(sc: Scenario) -> _Workload:
+    """The workload of ``sc``'s seed, ``initial_mempool_txs``, ``tx_size_bytes``,
+    ``tx_rate`` and ``node_count``, built on the first run of that key.
+
+    One entry: a run of another key frees it before building its own, so a
+    process holds one workload at a time. The strategies of a ``compare``,
+    the values of a sweep over any other field, and repeated runs share it.
+    ``cli.main`` drops it as each command ends (``drop_workload``).
+    """
+    key = (sc.seed, sc.initial_mempool_txs, sc.tx_size_bytes, sc.tx_rate, sc.node_count)
+    if not _WORKLOAD or _WORKLOAD[0][0] != key:
+        _WORKLOAD.clear()
+        _WORKLOAD.append((key, _Workload(*key)))
+    return _WORKLOAD[0][1]
+
+
+def drop_workload() -> None:
+    """Free the cached workload, if any."""
+    _WORKLOAD.clear()
 
 
 def run_scenario(scenario: Scenario) -> EventLog:
@@ -629,22 +716,14 @@ class _Sim:
         )
 
         # faucet outputs fund every generated transaction; sized with margin
-        # and minted as drawn (see _next_faucet)
+        # and credited to the chains as drawn (see _on_tx_arrival)
         self.n_faucet = n_faucet = sc.initial_mempool_txs + int(sc.tx_rate * sc.horizon_seconds * 3) + 64
-        self.faucet_next = 0
+        self.faucet_next = sc.initial_mempool_txs  # the warm pool spends the first ids
+        self.workload = workload = _workload(sc)
         self.nodes: list[_Node] = []
 
-        # one pool takes the warm transactions and every node copies it; the
-        # outputs they spend, minted before any chain exists, are the genesis
-        # UTXO set
-        warm_rng = random.Random(f"{sc.seed}/warm")
-        warm = Mempool()
-        for _ in range(sc.initial_mempool_txs):
-            warm.insert_unchecked(self._generated_tx(self._next_faucet(), warm_rng))
-        genesis_utxo = dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
-        self.arrivals_rng = random.Random(f"{sc.seed}/arrivals")
-
         rates = sc.hash_rates()
+        warm, genesis_utxo = workload.warm, workload.genesis_utxo
         checked: dict = {}  # every chain starts from genesis_utxo, so one record serves all
         for nid in range(sc.node_count):
             chain = ChainState(GENESIS_HASH, genesis_utxo, checked)
@@ -675,32 +754,6 @@ class _Sim:
         self.log = EventLog(meta)
 
     # -- helpers ---------------------------------------------------------
-
-    def _next_faucet(self) -> Hash | None:
-        """Mint the next faucet output and credit it to every chain, or None
-        once all ``n_faucet`` are drawn.
-
-        A minted output is a genesis output: no transaction or block can name
-        it before its id exists, so crediting it now gives every UTXO view the
-        same answers as a genesis set holding all of them from the start.
-        """
-        i = self.faucet_next
-        if i >= self.n_faucet:
-            return None
-        self.faucet_next = i + 1
-        fid = hash_bytes(b"advertsim-faucet-tx:%d" % i)
-        op = (fid, 0)
-        for node in self.nodes:
-            node.chain.utxo[op] = _FAUCET_ENTRY
-        return fid
-
-    def _generated_tx(self, fid: Hash, rng: random.Random) -> Transaction:
-        recipient = Address(rng.randbytes(20))
-        return Transaction(
-            inputs=((fid, 0),),
-            outputs=((recipient, FAUCET_VALUE),),
-            nominal_size_bytes=self.sc.tx_size_bytes,
-        )
 
     def _schedule(self, t: float, kind: str, a=None, b=None) -> None:
         """Queue a ``found`` or ``tx_arrival`` event; ``_send`` queues deliveries."""
@@ -740,7 +793,7 @@ class _Sim:
         for node in self.nodes:
             self._restart_mining(node)
         if sc.tx_rate > 0:
-            self._schedule(self.arrivals_rng.expovariate(sc.tx_rate), "tx_arrival")
+            self._schedule(self.workload.first_gap(), "tx_arrival")
         horizon = sc.horizon_seconds
         heap = self.heap
         records = self.log.records
@@ -762,19 +815,18 @@ class _Sim:
                 self._on_tx_arrival()
         return self.log
 
-    def _own_advert(self, node: _Node) -> Advert:
-        """Fix the node's next block on its tip: choose its transaction list and
-        mine from it.
+    def _own_advert(self, node: _Node, pool: Mempool) -> Advert:
+        """Fix the node's next block on its tip: its transaction list, chosen from ``pool``.
 
-        The list is flooded here only under ADVERT (LATE sends it at the find,
-        after the block_found record). It lives in the node's session, not in
-        its registry: the registry answers for received seeds, and the node's
-        own seed and advert come back only as copies that ``seen`` drops.
+        ADVERT chooses it when the session starts and floods it at once,
+        LATE at the find, sending it after the block_found record. BASELINE
+        also chooses it at the find, never sends it, and reads the pool as
+        it stood when the session started. The list lives in the node's
+        session, not in its registry: the registry answers for received
+        seeds, and the node's own seed and advert come back only as copies
+        that ``seen`` drops.
         """
-        advert = make_advert(node.address, node.chain.tip_hash, node.mempool, self.policy)
-        if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
-            self._announce(node, advert)
-        return advert
+        return make_advert(node.address, node.chain.tip_hash, pool, self.policy)
 
     def _announce(self, node: _Node, advert: Advert) -> None:
         """Flood a node's own advert to all its neighbours."""
@@ -786,8 +838,11 @@ class _Sim:
     def _restart_mining(self, node: _Node) -> None:
         node.session += 1
         node.started = self.now
-        if self.strategy is not RelayStrategy.LATE_ADVERT:
-            node.advert = self._own_advert(node)
+        if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
+            node.advert = self._own_advert(node, node.mempool)
+            self._announce(node, node.advert)
+        elif self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
+            node.pool_at_start = len(node.mempool.txs)
         dt = sample_mining_time(
             HashRate(node.rate), CompactTarget(self.sc.difficulty_bits), node.mining_rng
         )
@@ -825,11 +880,15 @@ class _Sim:
         node = self.nodes[nid]
         if session != node.session:
             return  # tip changed while this sample was pending
-        late = self.strategy is RelayStrategy.LATE_ADVERT
-        if late:
-            advert, started = self._own_advert(node), self.now
-        else:
+        strategy = self.strategy
+        if strategy is RelayStrategy.ADVERT_PROTOCOL:
             advert, started = node.advert, node.started
+        elif strategy is RelayStrategy.LATE_ADVERT:
+            advert, started = self._own_advert(node, node.mempool), self.now
+        else:
+            # within a session the pool only grows, in arrival order: its
+            # first pool_at_start entries are the pool as the session found it
+            advert, started = self._own_advert(node, node.mempool.head(node.pool_at_start)), node.started
         block = mine(self._template_from(node, advert, started), _SIM_POW_BUDGET)
         assert block is not None, "simulation proof target missed its budget"
         bh = block_hash(block)
@@ -852,9 +911,9 @@ class _Sim:
                 float(height),
             )
         )
-        if late:
+        if strategy is RelayStrategy.LATE_ADVERT:
             self._announce(node, advert)  # back to back with the seed
-        if self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
+        if strategy is RelayStrategy.BASELINE_FULL_BLOCK:
             msg, family, size = block, "block", block_size
         else:
             msg = make_block_seed(block)
@@ -864,19 +923,25 @@ class _Sim:
         self._accept(node, block, bh, 0.0)
 
     def _on_tx_arrival(self) -> None:
-        sc = self.sc
-        rng = self.arrivals_rng
-        fid = self._next_faucet()
-        if fid is None:
+        """Relay the next faucet arrival from its origin, or stop once all
+        ``n_faucet`` outputs are drawn.
+
+        Its faucet output is credited to every chain as it is drawn. A drawn
+        output is a genesis output: no transaction or block can name it
+        before its id exists, so crediting it now gives every UTXO view the
+        same answers as a genesis set holding all of them from the start.
+        """
+        i = self.faucet_next
+        if i >= self.n_faucet:
             return  # faucet exhausted; no further arrivals
-        tx = self._generated_tx(fid, rng)
-        origin = self.nodes[rng.randrange(sc.node_count)]
-        h = txid(tx)
-        self.log.records.append(
-            LogRecord(self.now, "tx_arrival", origin.nid, -1, "", tx.nominal_size_bytes, -1, h.short(), "", 0.0)
-        )
-        self._relay_new_tx(origin, tx)
-        self._schedule(self.now + rng.expovariate(sc.tx_rate), "tx_arrival")
+        self.faucet_next = i + 1
+        tx, origin, gap, oid, short, size = self.workload.arrival(i - self.sc.initial_mempool_txs)
+        op = tx.inputs[0]
+        for node in self.nodes:
+            node.chain.utxo[op] = _FAUCET_ENTRY
+        self.log.records.append(LogRecord(self.now, "tx_arrival", origin, -1, "", size, -1, short, "", 0.0))
+        self._relay_new_tx(self.nodes[origin], tx, oid, size)
+        self._schedule(self.now + gap, "tx_arrival")
 
     def _on_deliver(self, node: _Node, sent: LogRecord, msg) -> None:
         """Handle ``msg`` at ``node``: a pull message, or the first copy of gossip.
@@ -904,13 +969,13 @@ class _Sim:
             node.mempool.add(tx, node.chain.utxo)
             self._wake(node, h)
 
-    def _relay_new_tx(self, node: _Node, tx: Transaction) -> None:
-        """Ingest and flood a faucet arrival or a pulled transaction new to ``node``
-        (a faucet arrival retries no seed: no advert can name it yet)."""
-        oid = gossip_dedup_key(tx).short()
+    def _relay_new_tx(self, node: _Node, tx: Transaction, oid: str, size: int) -> None:
+        """Ingest and flood a faucet arrival or a pulled transaction new to ``node``,
+        given its gossip oid and wire size (a faucet arrival retries no seed: no
+        advert can name it yet)."""
         node.seen.add(oid)
         self._ingest_tx(node, tx)
-        self._send(node, tx, "tx", oid, 0.0, serialized_size(tx))
+        self._send(node, tx, "tx", oid, 0.0, size)
 
     def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
@@ -996,7 +1061,7 @@ class _Sim:
             if key is not None:
                 node.pull_log[key].append((self.now, float(tx.nominal_size_bytes)))
             if h not in node.tx_store:
-                self._relay_new_tx(node, tx)
+                self._relay_new_tx(node, tx, gossip_dedup_key(tx).short(), serialized_size(tx))
 
     def _request_txs(
         self, node: _Node, missing: list[Hash] | tuple[Hash, ...], target: int, key, force: bool = False

@@ -24,7 +24,7 @@ from advertsim.protocol import (
     Mempool,
     make_advert,
 )
-from advertsim.simnet import collector_paused
+from advertsim.simnet import collector_paused, drop_workload
 
 MINE_BUDGET = MiningBudget(1 << 24)
 
@@ -38,9 +38,11 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "advertsim-hypothesis")
 
 @pytest.fixture(autouse=True)
 def _collector_paused():
-    """Run each test with the cyclic collector paused, as the CLI runs a command."""
+    """Run each test with the cyclic collector paused, and drop the cached
+    workload at its end, as the CLI runs a command."""
     with collector_paused():
         yield
+        drop_workload()
 
 
 def rand_hash(rng: random.Random) -> Hash:

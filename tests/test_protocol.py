@@ -766,6 +766,19 @@ class TestMempool:
         bundle.mempool.apply_block(bundle.block)
         assert len(bundle.mempool) == 0
 
+    def test_head_is_the_pool_as_it_stood(self):
+        rng = random.Random(39)
+        utxo = {}
+        pool = Mempool()
+        states = [([], [])]
+        for _ in range(6):
+            assert pool.add(funded_tx(rng, utxo), utxo)
+            states.append((list(pool.txs.items()), list(pool.spent_outpoints.items())))
+        for n, (txs, spent) in enumerate(states):
+            head = pool.head(n)
+            assert (list(head.txs.items()), list(head.spent_outpoints.items())) == (txs, spent)
+        assert states[-1] == (list(pool.txs.items()), list(pool.spent_outpoints.items()))
+
     @staticmethod
     def _apply_block_two_pass(pool: Mempool, block) -> None:
         """The reference: drop each included transaction, then look up each of

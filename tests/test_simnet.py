@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from advertsim.core import Transaction, hash_bytes, serialized_size, txid
 from advertsim.metrics import summarize
-from advertsim.protocol import Advert
+from advertsim.protocol import Advert, make_advert as select_list
 from advertsim.simnet import (
     FAUCET_ADDRESS,
     FAUCET_VALUE,
@@ -876,6 +877,7 @@ class TestFaucetMintedOnDemand:
     def test_only_drawn_ids_are_hashed(self, monkeypatch):
         import advertsim.simnet as simnet
 
+        simnet.drop_workload()
         minted = []
         real = simnet.hash_bytes
 
@@ -941,7 +943,9 @@ class TestWarmPoolFilledOnce:
         first, second = sim.nodes[0], sim.nodes[1]
         pool = second.mempool
         before = (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items()))
-        extra = sim._generated_tx(sim._next_faucet(), random.Random(0))
+        op = (_faucet_id(50), 0)
+        first.chain.utxo[op] = (FAUCET_ADDRESS, FAUCET_VALUE)
+        extra = Transaction(inputs=(op,), outputs=((rand_address(random.Random(0)), FAUCET_VALUE),))
         assert first.mempool.add(extra, first.chain.utxo)
         first.tx_store[txid(extra)] = extra
         first.mempool.remove(next(iter(first.mempool.txs)))
@@ -952,7 +956,9 @@ class TestWarmPoolFilledOnce:
     def test_each_warm_tx_is_serialized_once(self, monkeypatch):
         # its size floor and its id are computed from the same bytes
         import advertsim.core as core
+        import advertsim.simnet as simnet
 
+        simnet.drop_workload()
         calls = []
         real = core.serialize
 
@@ -965,6 +971,168 @@ class TestWarmPoolFilledOnce:
         sim = _Sim(_mini(initial_mempool_txs=50))
         assert len(calls) == 50
         assert [txid(tx) for tx in calls] == list(sim.nodes[0].mempool.txs)
+
+
+# one sweep per field of the workload key, over two values
+_KEY_SWEEPS = [
+    ("seed", "3,4"),
+    ("initial_mempool_txs", "30,40"),
+    ("tx_size_bytes", "500,600"),
+    ("tx_rate", "1.0,2.0"),
+    ("node_count", "4,6"),
+]
+
+
+class TestWorkloadSharedPerKey:
+    """Every run of one workload key reads one warm pool and one arrival stream."""
+
+    def test_cached_workload_gives_the_log_of_a_cleared_cache(self):
+        import advertsim.simnet as simnet
+
+        sc = _mini(horizon_seconds=8.0)
+        simnet.drop_workload()
+        cleared = run_scenario(sc).sha256()
+        # a shorter run draws part of the stream; the full run extends it
+        run_scenario(_mini(horizon_seconds=3.0, relay_strategy=RelayStrategy.LATE_ADVERT))
+        assert run_scenario(sc).sha256() == cleared
+        assert run_scenario(sc).sha256() == cleared
+        run_scenario(_mini(horizon_seconds=8.0, seed=8))  # another key in between
+        assert run_scenario(sc).sha256() == cleared
+
+    @pytest.mark.parametrize("field, values", _KEY_SWEEPS)
+    def test_sweep_over_a_key_field_gives_cleared_cache_logs(self, field, values, tmp_path):
+        import advertsim.simnet as simnet
+        from advertsim.cli import EXIT_OK, main
+
+        base = _mini(horizon_seconds=5.0)
+        expected = {}
+        for raw in values.split(","):
+            value = type(getattr(base, field))(raw)
+            simnet.drop_workload()
+            expected[str(value)] = run_scenario(replace(base, **{field: value})).sha256()
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(base.to_dict()), encoding="utf-8")
+        argv = ["sweep", "--scenario", str(path), "--sweep", f"{field}={values}", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        sweep = json.loads((tmp_path / "out" / f"mini-sweep-{field}" / "sweep.json").read_text(encoding="utf-8"))
+        assert {str(r["value"]): r["summary"]["log_sha256"] for r in sweep["runs"]} == expected
+        assert len(set(expected.values())) == 2
+
+    def test_compare_builds_each_transaction_once(self, monkeypatch, tmp_path):
+        import advertsim.core as core
+        import advertsim.simnet as simnet
+        from advertsim.cli import EXIT_OK, main
+
+        simnet.drop_workload()
+        built, keyed = [], []
+        real_serialize, real_key = core.serialize, simnet.gossip_dedup_key
+
+        def counting_serialize(obj):
+            if type(obj) is Transaction:
+                built.append(obj)
+            return real_serialize(obj)
+
+        def counting_key(msg):
+            if type(msg) is Transaction:
+                keyed.append(msg)
+            return real_key(msg)
+
+        monkeypatch.setattr(core, "serialize", counting_serialize)
+        monkeypatch.setattr(simnet, "gossip_dedup_key", counting_key)
+        sc = _mini(horizon_seconds=10.0)
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(sc.to_dict()), encoding="utf-8")
+        strategies = [s.value for s in RelayStrategy]
+        argv = ["compare", "--scenario", str(path), "--strategies", ",".join(strategies), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        arrivals = set()
+        for strategy in strategies:
+            log = EventLog.read(tmp_path / "out" / "mini-compare" / strategy / "events.ndjson")
+            arrivals.update(r.oid for r in log.records if r.kind == "tx_arrival")
+        ids = [txid(tx) for tx in built]
+        assert len(ids) == len(set(ids)) == sc.initial_mempool_txs + len(arrivals)
+        assert {h.short() for h in ids[sc.initial_mempool_txs :]} == arrivals
+        assert [txid(tx) for tx in keyed] == ids[sc.initial_mempool_txs :]
+
+    def test_setup_draws_no_arrival(self):
+        import advertsim.simnet as simnet
+
+        simnet.drop_workload()
+        sc = _mini()
+        sim = _Sim(sc)
+        workload = sim.workload
+        assert workload.arrivals == [] and workload.gap0 is None
+        assert workload.rng.getstate() == random.Random(f"{sc.seed}/arrivals").getstate()
+        log = sim.run()
+        assert len(workload.arrivals) == sum(r.kind == "tx_arrival" for r in log.records) > 0
+
+    def test_runs_leave_the_cached_pool_unchanged(self):
+        import advertsim.simnet as simnet
+
+        sc = _forky_cold(horizon_seconds=10.0, initial_mempool_txs=30)
+        workload = simnet._workload(sc)
+        warm = workload.warm
+
+        def state():
+            return list(warm.txs.items()), list(warm.spent_outpoints.items()), list(workload.genesis_utxo.items())
+
+        before = state()
+        included = set()
+        for strategy in RelayStrategy:
+            sim = _Sim(replace(sc, relay_strategy=strategy))
+            sim.run()
+            assert sim.workload is workload
+            included.update(txid(tx) for rec in sim.nodes[0].chain.checked.values() for tx in rec[0].transactions)
+        assert state() == before
+        assert not included.isdisjoint(warm.txs)  # blocks took warm transactions out of the node pools
+
+
+class _SessionListSim(_Sim):
+    """The simulator as shipped, noting per find the list the finder's pool gave
+    when its session started."""
+
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
+        self.at_start: dict[int, tuple] = {}
+        self.found: list[tuple[str, tuple]] = []  # (block oid, list at session start)
+        self.grown = 0  # finds whose pool grew during the session
+
+    def _restart_mining(self, node):
+        super()._restart_mining(node)
+        self.at_start[node.nid] = select_list(node.address, node.chain.tip_hash, node.mempool, self.policy).tx_hashes
+
+    def _on_found(self, nid, session):
+        node = self.nodes[nid]
+        expected, pool_size = self.at_start[nid], len(node.mempool.txs)
+        n = len(self.log.records)
+        super()._on_found(nid, session)
+        if len(self.log.records) > n:
+            found = self.log.records[n]
+            assert found.kind == "block_found"
+            self.found.append((found.oid, expected))
+            self.grown += pool_size > node.pool_at_start
+
+
+class TestBaselineListChosenAtFind:
+    def test_one_selection_per_find_over_the_pool_at_session_start(self, monkeypatch):
+        import advertsim.simnet as simnet
+
+        calls = []
+        real = simnet.make_advert
+
+        def counting(*args):
+            calls.append(len(args[2].txs))
+            return real(*args)
+
+        monkeypatch.setattr(simnet, "make_advert", counting)
+        sim = _SessionListSim(_forky_cold(horizon_seconds=10.0, relay_strategy="BASELINE_FULL_BLOCK"))
+        log = sim.run()
+        assert len(calls) == sum(r.kind == "block_found" for r in log.records) == len(sim.found) > 0
+        blocks = {h.short(): rec[0] for h, rec in sim.nodes[0].chain.checked.items()}
+        for oid, expected in sim.found:
+            assert tuple(txid(tx) for tx in blocks[oid].transactions) == expected
+        assert any(expected for _, expected in sim.found)
+        assert sim.grown > 0
 
 
 class TestTemplateBuiltAtFind:
