@@ -32,7 +32,6 @@ from .protocol import (  # noqa: F401
     ChainState,
     Mempool,
     Reason,
-    ValidationVerdict,
     make_advert,
     make_block_seed,
     reconstruct_block,

@@ -155,12 +155,23 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _strategy_list(text: str) -> list[RelayStrategy]:
+    """Parse ``--strategies``: comma-separated strategy names, each at most once."""
+    names = [part.strip() for part in text.split(",")]
+    known = [s.value for s in RelayStrategy]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown strategy {unknown[0]!r}, expected one of {known}")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"a strategy is named twice in {text!r}")
+    return [RelayStrategy(name) for name in names]
+
+
 def _cmd_compare(args) -> int:
     base = _load_with_overrides(args)
-    strategies = [RelayStrategy(s.strip()) for s in args.strategies.split(",")]
     root = _out_root(args) / f"{base.name}-compare"
     per_strategy = {}
-    for strat in strategies:
+    for strat in args.strategies:
         sc = replace(base, relay_strategy=strat)
         outdir = root / strat.value
         summary = _execute(sc, outdir)
@@ -225,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.add_argument(
         "--strategies",
+        type=_strategy_list,
         default="BASELINE_FULL_BLOCK,ADVERT_PROTOCOL",
-        help="comma-separated strategies (default baseline vs advert)",
+        help="comma-separated strategies, each named at most once (default baseline vs advert)",
     )
     p_cmp.set_defaults(func=_cmd_compare)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -134,12 +135,8 @@ class PropagationStats:
 
     @property
     def median(self) -> float | None:
-        s = sorted(self.samples)
-        if not s:
-            return None
-        n = len(s)
-        mid = n // 2
-        return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2
+        s = self.samples
+        return statistics.median(s) if s else None
 
     @property
     def p90(self) -> float | None:

@@ -53,14 +53,9 @@ class Reason(Enum):
     MISSING_TXS = "MISSING_TXS"
     INVALID_TX = "INVALID_TX"
 
-
-@dataclass(frozen=True, slots=True)
-class ValidationVerdict:
-    reason: Reason
-
     @property
     def accepted(self) -> bool:
-        return self.reason is Reason.OK
+        return self is Reason.OK
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +79,15 @@ class Advert:
 
 @dataclass(frozen=True, slots=True)
 class BlockSeed:
-    """Post-mining compact relay unit: address, coinbase, header."""
+    """Post-mining compact relay unit: coinbase and header. Its wire size
+    also charges the address the coinbase pays, which keys the advert."""
 
-    coinbase_address: Address
     coinbase: CoinbaseTransaction
     header: BlockHeader
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coinbase_address", Address(self.coinbase_address))
-        if self.coinbase.coinbase_address != self.coinbase_address:
-            raise ValueError("seed coinbase does not pay the seed's address")
+    @property
+    def coinbase_address(self) -> Address:
+        return self.coinbase.coinbase_address
 
 
 @serialize.register
@@ -374,7 +368,7 @@ class ChainState:
         if h in self.heights:
             return AddOutcome("side")
         if h not in self.checked:
-            reason = _check_content(block, self, None).reason
+            reason = _check_content(block, self, None)
             if reason is not Reason.OK:
                 raise ValueError(f"added block fails its content checks: {reason.value}")
         height = self.heights[parent] + 1
@@ -486,11 +480,7 @@ def missing_txs(advert: Advert, mempool: Mempool | dict[Hash, Transaction]) -> l
 
 
 def make_block_seed(block: Block) -> BlockSeed:
-    return BlockSeed(
-        coinbase_address=block.coinbase.coinbase_address,
-        coinbase=block.coinbase,
-        header=block.header,
-    )
+    return BlockSeed(coinbase=block.coinbase, header=block.header)
 
 
 @dataclass(frozen=True, slots=True)
@@ -526,8 +516,9 @@ def reconstruct_block(
 # --- validation ---------------------------------------------------------------
 
 
-def validate_block(block: Block, registry: AdvertRegistry, chain: ChainState) -> ValidationVerdict:
-    """Apply the acceptance ladder in fixed order; first failure wins.
+def validate_block(block: Block, registry: AdvertRegistry, chain: ChainState) -> Reason:
+    """Apply the acceptance ladder in fixed order; return the first failure's
+    reason, or ``Reason.OK``.
 
     1. an advert exists for (coinbase address, prev hash)
     2. the block's coinbase pays the advertised address
@@ -540,18 +531,18 @@ def validate_block(block: Block, registry: AdvertRegistry, chain: ChainState) ->
     """
     advert = registry.lookup(block.coinbase.coinbase_address, block.header.prev_block_hash)
     if advert is None:
-        return ValidationVerdict(Reason.NO_MATCHING_ADVERT)
+        return Reason.NO_MATCHING_ADVERT
     if advert.coinbase_address != block.coinbase.coinbase_address:
-        return ValidationVerdict(Reason.COINBASE_MISMATCH)
+        return Reason.COINBASE_MISMATCH
     return _check_content(block, chain, advert.tx_hashes)
 
 
-def validate_block_baseline(block: Block, chain: ChainState) -> ValidationVerdict:
+def validate_block_baseline(block: Block, chain: ChainState) -> Reason:
     """The full-block relay rule: no advert conditions, everything else equal."""
     return _check_content(block, chain, None)
 
 
-def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | None) -> ValidationVerdict:
+def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | None) -> Reason:
     """Steps 3-7 of the ladder; step 5 only when an advertised list is given.
 
     Steps 6 and 7 run once per network: a block whose header hash and Merkle
@@ -563,22 +554,22 @@ def _check_content(block: Block, chain: ChainState, listed: tuple[Hash, ...] | N
     """
     header = block.header
     if not chain.knows(header.prev_block_hash):
-        return ValidationVerdict(Reason.WRONG_PREV_HASH)
+        return Reason.WRONG_PREV_HASH
     if not check_pow(header):
-        return ValidationVerdict(Reason.POW_FAIL)
+        return Reason.POW_FAIL
     leaves = block.all_txids()
     if listed is not None and leaves[1:] != listed:
-        return ValidationVerdict(Reason.TX_LIST_MISMATCH)
+        return Reason.TX_LIST_MISMATCH
     h = header_hash(header)
     rec = chain.checked.get(h)
     if rec is None or rec[1] != leaves:
         if merkle_root(leaves) != header.merkle_root:
-            return ValidationVerdict(Reason.MERKLE_MISMATCH)
+            return Reason.MERKLE_MISMATCH
         delta = _block_delta(block, chain)
         if delta is None:
-            return ValidationVerdict(Reason.INVALID_TX)
+            return Reason.INVALID_TX
         chain.checked[h] = (block, leaves, delta)
-    return ValidationVerdict(Reason.OK)
+    return Reason.OK
 
 
 # --- node-level acceptance ----------------------------------------------------

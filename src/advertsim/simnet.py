@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, get_type_hints
 
 from .core import (
+    HEADER_WIRE_BYTES,
     Address,
     Block,
     CoinbaseTransaction,
@@ -127,22 +128,10 @@ class ScenarioError(ValueError):
 _DEF_TOPOLOGY = {"kind": "random_regular", "degree": 4}
 _DEF_LATENCY = {"kind": "constant", "value": 0.05}
 _DEF_BANDWIDTH = {"kind": "constant", "value": 1_000_000.0}
-# Must be ints (bools excluded): a float such as 500.0 passes the range
-# checks and then fails deep in the run.
-_INT_FIELDS = (
-    "node_count",
-    "difficulty_bits",
-    "pow_proof_bits",
-    "tx_size_bytes",
-    "coinbase_size_bytes",
-    "initial_mempool_txs",
-    "seed",
-    "block_size_cap_bytes",
-    "pending_seed_buffer",
-    "block_reward",
-)
-# Must be finite numbers (bools excluded); hash_rate may also be a list of them.
-_FLOAT_FIELDS = ("tx_rate", "horizon_seconds", "processing_delay_seconds")
+# The least nominal sizes the constructors accept: the (fixed-width) serialized
+# sizes of a faucet transaction, one input and one output, and of a coinbase.
+_TX_SIZE_FLOOR = len(serialize(Transaction(inputs=((GENESIS_HASH, 0),), outputs=(_FAUCET_ENTRY,))))
+_COINBASE_SIZE_FLOOR = len(serialize(CoinbaseTransaction(coinbase_address=FAUCET_ADDRESS, reward=0)))
 
 
 def _finite_number(v) -> bool:
@@ -241,16 +230,18 @@ class Scenario:
             raise ScenarioError("pow_proof_bits", "must be in [0, 12]")
         if self.tx_rate < 0:
             raise ScenarioError("tx_rate", "must be >= 0")
-        if self.tx_size_bytes <= 0:
-            raise ScenarioError("tx_size_bytes", "must be positive")
-        if self.coinbase_size_bytes <= 0:
-            raise ScenarioError("coinbase_size_bytes", "must be positive")
+        if self.tx_size_bytes < _TX_SIZE_FLOOR:
+            raise ScenarioError("tx_size_bytes", f"must be >= {_TX_SIZE_FLOOR}, a transaction's serialized size")
+        if self.coinbase_size_bytes < _COINBASE_SIZE_FLOOR:
+            msg = f"must be >= {_COINBASE_SIZE_FLOOR}, a coinbase's serialized size"
+            raise ScenarioError("coinbase_size_bytes", msg)
         if self.initial_mempool_txs < 0:
             raise ScenarioError("initial_mempool_txs", "must be >= 0")
         if not self.horizon_seconds > 0:
             raise ScenarioError("horizon_seconds", "must be positive")
-        if self.block_size_cap_bytes <= 0:
-            raise ScenarioError("block_size_cap_bytes", "must be positive")
+        cap_floor = HEADER_WIRE_BYTES + self.coinbase_size_bytes
+        if self.block_size_cap_bytes < cap_floor:
+            raise ScenarioError("block_size_cap_bytes", f"must be >= {cap_floor}, a header and a coinbase")
         if self.processing_delay_seconds < 0:
             raise ScenarioError("processing_delay_seconds", "must be >= 0")
         if self.pending_seed_buffer < 1:
@@ -280,6 +271,14 @@ class Scenario:
             raise ScenarioError("topology", "must be JSON data") from None
         # raises ScenarioError on malformed or disconnected topologies
         return list(_edges(spec, self.node_count, self.seed))
+
+
+# Ints and finite numbers, bools excluded, checked in declaration order: a
+# float such as 500.0 passes the range checks and then fails deep in the run.
+# hash_rate, a float or a list of them, is checked on its own.
+_FIELD_TYPES = get_type_hints(Scenario)
+_INT_FIELDS = tuple(name for name, t in _FIELD_TYPES.items() if t is int)
+_FLOAT_FIELDS = tuple(name for name, t in _FIELD_TYPES.items() if t is float)
 
 
 def _validate_dist(field_name: str, spec, allow_zero: bool) -> None:
@@ -550,7 +549,13 @@ class _Node:
     waiting: dict = field(default_factory=dict)
     session: int = 0
     started: float = 0.0  # when the current mining session began
-    advert: Advert | None = None  # ADVERT: the session's own advert; the others choose theirs at the find
+    # ADVERT: the session's own advert, chosen when the session starts and
+    # flooded at once. LATE chooses its list at the find and sends it after
+    # block_found; BASELINE chooses at the find from the pool as the session
+    # found it, and never sends it. Not in the registry: that answers for
+    # received seeds, and the node's own seed and advert come back only as
+    # copies that ``seen`` drops.
+    advert: Advert | None = None
     pool_at_start: int = 0  # BASELINE: the pool's size when the session began
     # per advert key, (time, bytes) of the advert's first arrival, then of each
     # pull made for it: the bytes that may count as post-find on the critical path
@@ -815,19 +820,6 @@ class _Sim:
                 self._on_tx_arrival()
         return self.log
 
-    def _own_advert(self, node: _Node, pool: Mempool) -> Advert:
-        """Fix the node's next block on its tip: its transaction list, chosen from ``pool``.
-
-        ADVERT chooses it when the session starts and floods it at once,
-        LATE at the find, sending it after the block_found record. BASELINE
-        also chooses it at the find, never sends it, and reads the pool as
-        it stood when the session started. The list lives in the node's
-        session, not in its registry: the registry answers for received
-        seeds, and the node's own seed and advert come back only as copies
-        that ``seen`` drops.
-        """
-        return make_advert(node.address, node.chain.tip_hash, pool, self.policy)
-
     def _announce(self, node: _Node, advert: Advert) -> None:
         """Flood a node's own advert to all its neighbours."""
         oid = gossip_dedup_key(advert).short()
@@ -839,7 +831,7 @@ class _Sim:
         node.session += 1
         node.started = self.now
         if self.strategy is RelayStrategy.ADVERT_PROTOCOL:
-            node.advert = self._own_advert(node, node.mempool)
+            node.advert = make_advert(node.address, node.chain.tip_hash, node.mempool, self.policy)
             self._announce(node, node.advert)
         elif self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
             node.pool_at_start = len(node.mempool.txs)
@@ -884,11 +876,12 @@ class _Sim:
         if strategy is RelayStrategy.ADVERT_PROTOCOL:
             advert, started = node.advert, node.started
         elif strategy is RelayStrategy.LATE_ADVERT:
-            advert, started = self._own_advert(node, node.mempool), self.now
+            advert, started = make_advert(node.address, node.chain.tip_hash, node.mempool, self.policy), self.now
         else:
             # within a session the pool only grows, in arrival order: its
             # first pool_at_start entries are the pool as the session found it
-            advert, started = self._own_advert(node, node.mempool.head(node.pool_at_start)), node.started
+            pool = node.mempool.head(node.pool_at_start)
+            advert, started = make_advert(node.address, node.chain.tip_hash, pool, self.policy), node.started
         block = mine(self._template_from(node, advert, started), _SIM_POW_BUDGET)
         assert block is not None, "simulation proof target missed its budget"
         bh = block_hash(block)
@@ -1015,7 +1008,7 @@ class _Sim:
         header = msg.header
         if type(msg) is Block:
             block = msg
-            verdict = validate_block_baseline(block, node.chain)
+            reason = validate_block_baseline(block, node.chain)
         else:
             key = (msg.coinbase_address, header.prev_block_hash)
             rec = reconstruct_block(msg, node.registry, node.tx_store)
@@ -1028,13 +1021,13 @@ class _Sim:
                     node.set_needs(pend, (key,))
                 return
             block = rec.block
-            verdict = validate_block(block, node.registry, node.chain)
-        if verdict.reason is Reason.WRONG_PREV_HASH:
+            reason = validate_block(block, node.registry, node.chain)
+        if reason is Reason.WRONG_PREV_HASH:
             node.set_needs(pend, (header.prev_block_hash,))
             return
         bh = header_hash(header)
         node.unpark(bh)
-        if not verdict.accepted:
+        if reason is not Reason.OK:
             return
         pb = sent.val
         if sent.msg == "seed":

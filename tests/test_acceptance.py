@@ -194,7 +194,7 @@ def test_criterion_roundtrip_suite():
         assert rec.block == bundle.block, f"cycle {i}: reconstruction not exact"
         assert tuple(txid(t) for t in rec.block.transactions) == bundle.advert.tx_hashes
         verdict = validate_block(rec.block, bundle.registry, bundle.chain)
-        assert verdict.reason is Reason.OK, f"cycle {i}: verdict {verdict.reason}"
+        assert verdict is Reason.OK, f"cycle {i}: verdict {verdict}"
     report("roundtrip (500 cycles OK, blocks reproduced exactly)")
 
 
@@ -285,7 +285,7 @@ def test_criterion_mutation_suite():
     for _ in range(100):
         bundle = advertised_block(rng, bits=4, ntx=rng.randrange(2, 7))
         honest = validate_block(bundle.block, bundle.registry, bundle.chain)
-        assert honest.reason is Reason.OK
+        assert honest is Reason.OK
         for name, mutated in _mutations(rng, bundle):
             expected = ladder_oracle(mutated, bundle.registry, bundle.chain)
             assert expected is EXPECTED_MUTATION_VERDICTS[name], (
@@ -293,7 +293,7 @@ def test_criterion_mutation_suite():
                 f"{EXPECTED_MUTATION_VERDICTS[name]}"
             )
             got = validate_block(mutated, bundle.registry, bundle.chain)
-            assert got.reason is expected, f"{name}: got {got.reason}, oracle says {expected}"
+            assert got is expected, f"{name}: got {got}, oracle says {expected}"
             assert not got.accepted
             checked[name] += 1
     assert all(count == 100 for count in checked.values())

@@ -372,6 +372,31 @@ class TestValidateAndExitCodes:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
         assert f"{field}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, floor",
+        # a faucet transaction's and a coinbase's serialized sizes; a header and the default coinbase
+        [("tx_size_bytes", 77), ("coinbase_size_bytes", 41), ("block_size_cap_bytes", 80 + 200)],
+    )
+    def test_size_a_run_cannot_build_exit_2(self, field, floor, tiny_scenario, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, field: floor - 1}))
+        assert main(["validate-scenario", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert f"{field}: must be >= {floor}" in capsys.readouterr().err
+        out = tmp_path / "o"
+        sweep = ["sweep", "--scenario", str(tiny_scenario), "--out", str(out),
+                 "--sweep", f"{field}={floor},{floor - 1}"]
+        assert main(sweep) == EXIT_SCENARIO
+        assert not out.exists()
+        path.write_text(json.dumps({**TINY, field: floor}))
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("strategies", ["FOO", "ADVERT_PROTOCOL,ADVERT_PROTOCOL", "BASELINE_FULL_BLOCK,"])
+    def test_bad_strategies_list_exit_1(self, strategies, tiny_scenario, tmp_path):
+        out = tmp_path / "o"
+        argv = ["compare", "--scenario", str(tiny_scenario), "--out", str(out), "--strategies", strategies]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert (
             main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

@@ -282,11 +282,7 @@ class TestSizeModel:
 
     def test_seed_size(self):
         block = _block_of(3)
-        seed = BlockSeed(
-            coinbase_address=block.coinbase.coinbase_address,
-            coinbase=block.coinbase,
-            header=block.header,
-        )
+        seed = BlockSeed(coinbase=block.coinbase, header=block.header)
         assert serialized_size(seed) == 20 + 200 + 80 == 300
 
     def test_tx_request_and_response(self):

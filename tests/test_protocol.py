@@ -1,5 +1,6 @@
 """Advert lifecycle, reconstruction, the validation ladder, and chain growth."""
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -184,6 +185,13 @@ class TestBlockSeed:
         bundle = advertised_block(rng, bits=0)
         assert serialized_size(make_block_seed(bundle.block)) == 300
 
+    def test_holds_only_coinbase_and_header(self):
+        # the address is read from the coinbase, so a seed cannot disagree with it
+        rng = random.Random(16)
+        block = advertised_block(rng, bits=0).block
+        assert [f.name for f in dataclasses.fields(BlockSeed)] == ["coinbase", "header"]
+        assert make_block_seed(block).coinbase_address == block.coinbase.coinbase_address
+
     def test_blocks_differing_in_one_tx_give_seeds_differing_only_in_merkle(self):
         rng = random.Random(15)
         utxo = {}
@@ -212,21 +220,6 @@ class TestBlockSeed:
             and s1.header.nonce == s2.header.nonce
             and s1.header.timestamp == s2.header.timestamp
         )
-
-    def test_mismatched_coinbase_address_rejected(self):
-        rng = random.Random(16)
-        cb = CoinbaseTransaction(coinbase_address=rand_address(rng), reward=50)
-        hdr = mine(
-            BlockTemplate(
-                prev_block_hash=rand_hash(rng),
-                coinbase=cb,
-                transactions=(),
-                difficulty_target=CompactTarget(0),
-            ),
-            MINE_BUDGET,
-        ).header
-        with pytest.raises(ValueError):
-            BlockSeed(coinbase_address=rand_address(rng), coinbase=cb, header=hdr)
 
 
 class TestReconstruction:
@@ -276,11 +269,22 @@ def _remined(block, registry_bits=None, merkle=None, txs=None, nonce=None):
 
 
 class TestValidationLadder:
+    def test_accepted_holds_exactly_for_ok(self):
+        for reason in Reason:
+            assert reason.accepted is (reason is Reason.OK)
+
+    def test_validators_return_reason_members(self):
+        rng = random.Random(20)
+        bundle = advertised_block(rng, bits=4)
+        assert validate_block(bundle.block, bundle.registry, bundle.chain) is Reason.OK
+        assert validate_block_baseline(bundle.block, bundle.chain) is Reason.OK
+        assert validate_block(bundle.block, AdvertRegistry(), bundle.chain) is Reason.NO_MATCHING_ADVERT
+
     def test_honest_block_is_ok(self):
         rng = random.Random(20)
         bundle = advertised_block(rng, bits=4)
         verdict = validate_block(bundle.block, bundle.registry, bundle.chain)
-        assert verdict.accepted and verdict.reason is Reason.OK
+        assert verdict.accepted and verdict is Reason.OK
 
     def test_appended_unadvertised_tx_is_list_mismatch(self):
         rng = random.Random(21)
@@ -288,14 +292,14 @@ class TestValidationLadder:
         extra = funded_tx(rng, bundle.chain.utxo)
         tampered = _remined(bundle.block, txs=bundle.block.transactions + (extra,))
         verdict = validate_block(tampered, bundle.registry, bundle.chain)
-        assert verdict.reason is Reason.TX_LIST_MISMATCH
+        assert verdict is Reason.TX_LIST_MISMATCH
 
     def test_flipped_coinbase_address_loses_its_advert(self):
         rng = random.Random(22)
         bundle = advertised_block(rng, bits=4)
         cb = CoinbaseTransaction(coinbase_address=rand_address(rng), reward=50)
         forged = Block(header=bundle.block.header, coinbase=cb, transactions=bundle.block.transactions)
-        assert validate_block(forged, bundle.registry, bundle.chain).reason is Reason.NO_MATCHING_ADVERT
+        assert validate_block(forged, bundle.registry, bundle.chain) is Reason.NO_MATCHING_ADVERT
 
     def test_corrupted_registry_entry_is_coinbase_mismatch(self):
         rng = random.Random(23)
@@ -307,7 +311,7 @@ class TestValidationLadder:
             prev_block_hash=bundle.genesis,
         )
         bundle.registry.entries[key] = other  # bypasses register() on purpose
-        assert validate_block(bundle.block, bundle.registry, bundle.chain).reason is Reason.COINBASE_MISMATCH
+        assert validate_block(bundle.block, bundle.registry, bundle.chain) is Reason.COINBASE_MISMATCH
 
     def test_advertised_but_unknown_parent_is_wrong_prev_hash(self):
         rng = random.Random(24)
@@ -326,7 +330,7 @@ class TestValidationLadder:
             difficulty_target=CompactTarget(4),
         )
         orphan = mine(t, MINE_BUDGET)
-        assert validate_block(orphan, bundle.registry, bundle.chain).reason is Reason.WRONG_PREV_HASH
+        assert validate_block(orphan, bundle.registry, bundle.chain) is Reason.WRONG_PREV_HASH
 
     def test_broken_pow_detected(self):
         rng = random.Random(25)
@@ -345,14 +349,14 @@ class TestValidationLadder:
                 break
             n += 1
         broken = Block(header=hdr, coinbase=bundle.block.coinbase, transactions=bundle.block.transactions)
-        assert validate_block(broken, bundle.registry, bundle.chain).reason is Reason.POW_FAIL
+        assert validate_block(broken, bundle.registry, bundle.chain) is Reason.POW_FAIL
 
     def test_corrupted_merkle_root_detected_after_remine(self):
         rng = random.Random(26)
         bundle = advertised_block(rng, bits=4)
         bad_root = Hash(bytes([bundle.block.header.merkle_root[0] ^ 1]) + bundle.block.header.merkle_root[1:])
         tampered = _remined(bundle.block, merkle=bad_root)
-        assert validate_block(tampered, bundle.registry, bundle.chain).reason is Reason.MERKLE_MISMATCH
+        assert validate_block(tampered, bundle.registry, bundle.chain) is Reason.MERKLE_MISMATCH
 
     @pytest.mark.parametrize("fault", ["unfunded-input", "double-spend", "input-listed-twice", "overspend"])
     def test_invalid_tx_is_rejected_and_not_recorded(self, fault):
@@ -394,8 +398,8 @@ class TestValidationLadder:
             difficulty_target=CompactTarget(4),
         )
         block = mine(template, MINE_BUDGET)
-        assert validate_block(block, reg, chain).reason is Reason.INVALID_TX
-        assert validate_block_baseline(block, chain).reason is Reason.INVALID_TX
+        assert validate_block(block, reg, chain) is Reason.INVALID_TX
+        assert validate_block_baseline(block, chain) is Reason.INVALID_TX
         assert chain.checked == {}
 
     def test_baseline_rule_ignores_adverts(self):
@@ -404,7 +408,7 @@ class TestValidationLadder:
         verdict = validate_block_baseline(bundle.block, bundle.chain)
         assert verdict.accepted
         # but the advert rule rejects a block nobody announced
-        assert validate_block(bundle.block, AdvertRegistry(), bundle.chain).reason is Reason.NO_MATCHING_ADVERT
+        assert validate_block(bundle.block, AdvertRegistry(), bundle.chain) is Reason.NO_MATCHING_ADVERT
 
 
 class TestSharedContentRecord:
@@ -447,15 +451,15 @@ class TestSharedContentRecord:
         for txs in (reordered, substituted, block.transactions[:-1]):
             forged = Block(header=block.header, coinbase=block.coinbase, transactions=txs)
             # at the other node, under the honest advert
-            assert validate_block(forged, bundle.registry, b).reason is Reason.TX_LIST_MISMATCH
+            assert validate_block(forged, bundle.registry, b) is Reason.TX_LIST_MISMATCH
             # under a conflicting advert registered at the other node first
             registry = AdvertRegistry()
             registry.register(
                 Advert(coinbase_address=bundle.address, tx_hashes=tuple(txid(t) for t in txs),
                        prev_block_hash=bundle.genesis)
             )
-            assert validate_block(forged, registry, b).reason is Reason.MERKLE_MISMATCH
-            assert validate_block_baseline(forged, b).reason is Reason.MERKLE_MISMATCH
+            assert validate_block(forged, registry, b) is Reason.MERKLE_MISMATCH
+            assert validate_block_baseline(forged, b) is Reason.MERKLE_MISMATCH
         assert list(checked) == [block_hash(block)]
         assert validate_block(block, bundle.registry, b).accepted
 
@@ -468,8 +472,8 @@ class TestSharedContentRecord:
         spent = dict(bundle.chain.utxo)
         del spent[bundle.block.transactions[0].inputs[0]]
         other = ChainState(bundle.genesis, spent)
-        assert validate_block(bundle.block, bundle.registry, other).reason is Reason.INVALID_TX
-        assert validate_block_baseline(bundle.block, other).reason is Reason.INVALID_TX
+        assert validate_block(bundle.block, bundle.registry, other) is Reason.INVALID_TX
+        assert validate_block_baseline(bundle.block, other) is Reason.INVALID_TX
         assert other.checked == {}
 
     def test_rejected_content_is_not_recorded(self):
@@ -477,7 +481,7 @@ class TestSharedContentRecord:
         bundle = advertised_block(rng, bits=4, ntx=3)
         chain = ChainState(bundle.genesis, {})
         for _ in range(2):
-            assert validate_block_baseline(bundle.block, chain).reason is Reason.INVALID_TX
+            assert validate_block_baseline(bundle.block, chain) is Reason.INVALID_TX
         assert chain.checked == {}
 
     def test_delta_computed_once_per_network(self, monkeypatch):
