@@ -211,17 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_overrides=True):
+    def add_common(p, strategy=True):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help=f"output root (default $" + OUT_ROOT_ENV + " or ./runs)")
-        if with_overrides:
-            p.add_argument("--seed", type=int, default=None, help="override the scenario rng seed")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario rng seed")
+        if strategy:
             p.add_argument(
                 "--strategy",
                 choices=[s.value for s in RelayStrategy],
                 default=None,
                 help="override the relay strategy",
             )
+        else:  # compare names its runs with --strategies
+            p.set_defaults(strategy=None)
 
     p_run = sub.add_parser("run", help="execute one scenario")
     add_common(p_run)
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="same scenario and seed, one run per strategy")
-    add_common(p_cmp)
+    add_common(p_cmp, strategy=False)
     p_cmp.add_argument(
         "--strategies",
         type=_strategy_list,

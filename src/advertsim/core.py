@@ -295,15 +295,26 @@ def block_hash(block: Block) -> Hash:
     return header_hash(block.header)
 
 
+# merkle_root's one-entry memo: [leaves of the last call, as a tuple, its root]
+_LAST_TREE: list = [(), None]
+
+
 def merkle_root(leaves: Sequence[Hash]) -> Hash:
     """Root of the binary hash tree over ``leaves``.
 
     Adjacent nodes are paired and their concatenation double-SHA-256
     hashed; an unpaired last node is duplicated. A single leaf is its
     own root. An empty list is an error: every block has a coinbase.
+
+    A one-entry memo keeps the last call's leaves and root, so a list
+    equal to the last one is not hashed again: a miner's own block is
+    checked on acceptance right after ``mine`` built its root.
     """
+    leaves = tuple(leaves)
     if not leaves:
         raise ValueError("merkle_root of empty leaf list (block has no coinbase?)")
+    if leaves == _LAST_TREE[0]:
+        return _LAST_TREE[1]
     level = [Hash(h) for h in leaves]
     while len(level) > 1:
         if len(level) % 2 == 1:
@@ -311,6 +322,7 @@ def merkle_root(leaves: Sequence[Hash]) -> Hash:
         level = [
             hash_bytes(level[i] + level[i + 1]) for i in range(0, len(level), 2)
         ]
+    _LAST_TREE[:] = leaves, level[0]
     return level[0]
 
 

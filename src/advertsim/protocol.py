@@ -77,6 +77,16 @@ class Advert:
         return (self.coinbase_address, self.prev_block_hash)
 
 
+def _pool_advert(address: Address, tx_hashes: tuple[Hash, ...], tip: Hash) -> Advert:
+    """An ``Advert`` over pool keys, built without ``__post_init__``'s per-hash
+    checks: pool keys are already distinct ``Hash`` objects. For ``make_advert``."""
+    advert = object.__new__(Advert)
+    object.__setattr__(advert, "coinbase_address", Address(address))
+    object.__setattr__(advert, "tx_hashes", tx_hashes)
+    object.__setattr__(advert, "prev_block_hash", Hash(tip))
+    return advert
+
+
 @dataclass(frozen=True, slots=True)
 class BlockSeed:
     """Post-mining compact relay unit: coinbase and header. Its wire size
@@ -164,13 +174,19 @@ class Mempool:
     def add(self, tx: Transaction, utxo: "UtxoView | dict") -> bool:
         """Admit ``tx`` if it is new, valid against ``utxo``, and conflict-free."""
         h = txid(tx)
-        if h in self.txs:
+        txs = self.txs
+        if h in txs:
             return False
-        if any(op in self.spent_outpoints for op in tx.inputs):
-            return False
+        spent = self.spent_outpoints
+        inputs = tx.inputs
+        for op in inputs:
+            if op in spent:
+                return False
         if not tx_valid(tx, utxo):
             return False
-        self._insert(h, tx)
+        txs[h] = tx
+        for op in inputs:
+            spent[op] = h
         return True
 
     def copy(self) -> "Mempool":
@@ -262,7 +278,9 @@ def tx_valid(tx: Transaction, utxo: UtxoView | dict) -> bool:
         if entry is None:
             return False
         total_in += entry[1]
-    return total_in >= sum(v for _, v in tx.outputs)
+    for _, v in tx.outputs:
+        total_in -= v
+    return total_in >= 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -468,7 +486,7 @@ def make_advert(
         chosen.append(h)
         spent.update(tx.inputs)
         used += s
-    return Advert(coinbase_address=address, tx_hashes=tuple(chosen), prev_block_hash=tip)
+    return _pool_advert(address, tuple(chosen), tip)
 
 
 def missing_txs(advert: Advert, mempool: Mempool | dict[Hash, Transaction]) -> list[Hash]:

@@ -103,7 +103,11 @@ class Link:
             raise ValueError("bandwidth must be > 0")
 
     def delay(self, size: int) -> float:
-        """Seconds for a message of ``size`` modelled bytes to cross the link."""
+        """Seconds for a message of ``size`` modelled bytes to cross the link.
+
+        The simulator's ``_send`` inlines this same expression, in this order,
+        so arrival times equal ``t_send + link.delay(size)`` bit for bit.
+        """
         return self.latency + size / self.bandwidth
 
 
@@ -438,7 +442,7 @@ class LogRecord(NamedTuple):
 
 
 # Builds a record from a ready tuple without LogRecord's Python-level __new__;
-# the hot send and deliver paths use it.
+# the hot send, deliver and tx_arrival paths use it.
 _new_record = tuple.__new__
 
 
@@ -458,22 +462,29 @@ class EventLog:
 
         Bounded pieces keep peak memory at one piece, not one log. A time
         equal to the previous record's reuses its text, except zero, as
-        0.0 == -0.0 but the two print differently.
+        0.0 == -0.0 but the two print differently. A ``size`` or ``val``
+        that is the previous record's very object reuses its text too: a
+        flood's copies, and a deliver and its send, share both objects.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
-        t_last = t_text = None
+        t_last = t_text = size_text = val_text = None
+        size_last = val_last = object()  # the first record's objects differ from it
         for i in range(0, len(records), _CHUNK_LINES):
             batch = records[i : i + _CHUNK_LINES]
             lines = []
             for t, kind, src, dst, msg, size, mid, oid, ref, val in batch:
                 if t != t_last or not t:
                     t_last, t_text = t, repr(t)
+                if size is not size_last:
+                    size_last, size_text = size, repr(size)
+                if val is not val_last:
+                    val_last, val_text = val, repr(val)
                 # each line exactly as _encode writes it: json prints ints and
                 # finite floats as their repr(), and the string columns are
                 # fixed words and hex ids, which need no escaping
                 lines.append(
-                    f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size!r},{mid!r},"{oid}","{ref}",{val!r}]\n'
+                    f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
                 )
             text = "".join(lines)
             if "inf" in text or "nan" in text:
@@ -516,11 +527,12 @@ class EventLog:
 class _PendingSeed:
     """A relayed seed or full block on its way to acceptance; retried as prerequisites arrive.
 
-    ``sent`` is the ``send`` record it arrived under: sender, family, size,
-    id and path bytes. ``needs`` holds what its last try lacked, to be woken
-    by: its advert key, the advertised transactions it could not resolve,
-    or its parent's hash. Set it only through ``_Node.set_needs``, which
-    keeps the node's ``waiting`` index in step.
+    ``sent`` is the deliver record it arrived under: sender, family, size,
+    id and path bytes, as its send record holds them. ``needs`` holds what
+    its last try lacked, to be woken by: its advert key, the advertised
+    transactions it could not resolve, or its parent's hash. Set it only
+    through ``_Node.set_needs``, which keeps the node's ``waiting`` index in
+    step.
     """
 
     msg: BlockSeed | Block  # as relayed
@@ -589,15 +601,33 @@ def node_address(nid: int) -> Address:
 # --- transaction workload -------------------------------------------------
 
 
+def _faucet_tx(i: int, rng: random.Random, tx_size_bytes: int) -> Transaction:
+    """Spend faucet output ``i`` to an address drawn from ``rng``."""
+    fid = hash_bytes(b"advertsim-faucet-tx:%d" % i)
+    recipient = Address(rng.randbytes(20))
+    return Transaction(inputs=((fid, 0),), outputs=((recipient, FAUCET_VALUE),), nominal_size_bytes=tx_size_bytes)
+
+
+def _warm_pool(seed: int, initial_mempool_txs: int, tx_size_bytes: int) -> tuple[Mempool, dict]:
+    """The warm pool, which nodes only copy, and the genesis UTXO dict: the
+    outputs its transactions spend, minted before any chain exists."""
+    warm = Mempool()
+    rng = random.Random(f"{seed}/warm")
+    for i in range(initial_mempool_txs):
+        warm.insert_unchecked(_faucet_tx(i, rng, tx_size_bytes))
+    return warm, dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
+
+
 class _Workload:
     """A scenario's transactions: the warm pool and the faucet arrival stream.
 
-    Both are functions of the five fields of ``_workload``'s key alone, and
-    transactions are immutable, so every run of a key reads one copy: a
-    run copies ``warm`` into each node (a chain copies ``genesis_utxo``) and
-    changes neither, and it reads the stream in order up to its own
-    ``n_faucet``. Faucet output *i* funds the *i*-th transaction: the warm
-    pool spends the first ``initial_mempool_txs``, the arrivals the rest.
+    Both are functions of the five fields of ``_workload``'s key alone (the
+    pool of the first three), and transactions are immutable, so every run
+    of a key reads one copy: a run copies ``warm`` into each node (a chain
+    copies ``genesis_utxo``) and changes neither, and it reads the stream in
+    order up to its own ``n_faucet``. Faucet output *i* funds the *i*-th
+    transaction: the warm pool spends the first ``initial_mempool_txs``, the
+    arrivals the rest.
     """
 
     def __init__(self, seed: int, initial_mempool_txs: int, tx_size_bytes: int, tx_rate: float, node_count: int):
@@ -605,27 +635,12 @@ class _Workload:
         self.tx_size_bytes = tx_size_bytes
         self.tx_rate = tx_rate
         self.node_count = node_count
-        # one pool takes the warm transactions and every node copies it; the
-        # outputs they spend, minted before any chain exists, are the genesis
-        # UTXO set
-        self.warm = warm = Mempool()
-        warm_rng = random.Random(f"{seed}/warm")
-        for i in range(initial_mempool_txs):
-            warm.insert_unchecked(self._faucet_tx(i, warm_rng))
-        self.genesis_utxo = dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
+        self.warm, self.genesis_utxo = _cached(_POOL, (seed, initial_mempool_txs, tx_size_bytes), _warm_pool)
         self.rng = random.Random(f"{seed}/arrivals")
         self.gap0: float | None = None
         # arrival k: (transaction, origin node, seconds to arrival k + 1,
         # gossip oid, short txid, wire size); drawn when a run first needs it
         self.arrivals: list[tuple[Transaction, int, float, str, str, int]] = []
-
-    def _faucet_tx(self, i: int, rng: random.Random) -> Transaction:
-        """Spend faucet output ``i`` to an address drawn from ``rng``."""
-        fid = hash_bytes(b"advertsim-faucet-tx:%d" % i)
-        recipient = Address(rng.randbytes(20))
-        return Transaction(
-            inputs=((fid, 0),), outputs=((recipient, FAUCET_VALUE),), nominal_size_bytes=self.tx_size_bytes
-        )
 
     def first_gap(self) -> float:
         """Seconds from the start to arrival 0: the stream's first draw."""
@@ -640,36 +655,46 @@ class _Workload:
         arrivals = self.arrivals
         if k == len(arrivals):
             rng = self.rng
-            tx = self._faucet_tx(self.initial_mempool_txs + k, rng)
+            tx = _faucet_tx(self.initial_mempool_txs + k, rng, self.tx_size_bytes)
             origin = rng.randrange(self.node_count)
             gap = rng.expovariate(self.tx_rate)
             arrivals.append((tx, origin, gap, gossip_dedup_key(tx).short(), txid(tx).short(), serialized_size(tx)))
         return arrivals[k]
 
 
-# the cached workload, as [(key, workload)], or empty
+# The cached warm pool and workload, each as [(key, value)] or empty: one
+# entry each, so a process holds one of each at a time.
+_POOL: list[tuple[tuple, tuple[Mempool, dict]]] = []
 _WORKLOAD: list[tuple[tuple, _Workload]] = []
+
+
+def _cached(cache: list, key: tuple, build):
+    """``build(*key)``, kept in the one-entry ``cache``; another key frees the
+    entry before building its own."""
+    if not cache or cache[0][0] != key:
+        cache.clear()
+        cache.append((key, build(*key)))
+    return cache[0][1]
 
 
 def _workload(sc: Scenario) -> _Workload:
     """The workload of ``sc``'s seed, ``initial_mempool_txs``, ``tx_size_bytes``,
     ``tx_rate`` and ``node_count``, built on the first run of that key.
 
-    One entry: a run of another key frees it before building its own, so a
-    process holds one workload at a time. The strategies of a ``compare``,
-    the values of a sweep over any other field, and repeated runs share it.
-    ``cli.main`` drops it as each command ends (``drop_workload``).
+    The strategies of a ``compare``, the values of a sweep over any other
+    field, and repeated runs share it; its warm pool, keyed by the first
+    three fields alone, is shared also across values of ``tx_rate`` and
+    ``node_count``. ``cli.main`` drops both as each command ends
+    (``drop_workload``).
     """
     key = (sc.seed, sc.initial_mempool_txs, sc.tx_size_bytes, sc.tx_rate, sc.node_count)
-    if not _WORKLOAD or _WORKLOAD[0][0] != key:
-        _WORKLOAD.clear()
-        _WORKLOAD.append((key, _Workload(*key)))
-    return _WORKLOAD[0][1]
+    return _cached(_WORKLOAD, key, _Workload)
 
 
 def drop_workload() -> None:
-    """Free the cached workload, if any."""
+    """Free the cached workload and warm pool, if any."""
     _WORKLOAD.clear()
+    _POOL.clear()
 
 
 def run_scenario(scenario: Scenario) -> EventLog:
@@ -773,8 +798,9 @@ class _Sim:
 
         ``size`` is its modelled size, computed once where the message was
         made; ``cpb`` its critical-path bytes so far. Each copy gets a
-        ``send`` record and a ``deliver`` event ``(arrival, seq, "deliver",
-        send record, msg)``.
+        ``send`` record, and the ``deliver`` record it will arrive under is
+        built with it: the send's columns at the arrival time. The copy is
+        queued as ``(arrival, seq, "deliver", deliver record, msg)``.
         """
         links = node.neighbors.items() if to < 0 else ((to, node.neighbors[to]),)
         src = node.nid
@@ -786,14 +812,20 @@ class _Sim:
             if dst != exclude:
                 mid += 1
                 seq += 1
-                sent = _new_record(LogRecord, (t_send, "send", src, dst, family, size, mid, oid, "", cpb))
-                records.append(sent)
-                heappush(heap, (t_send + link.delay(size), seq, "deliver", sent, msg))
+                records.append(_new_record(LogRecord, (t_send, "send", src, dst, family, size, mid, oid, "", cpb)))
+                t = t_send + (link.latency + size / link.bandwidth)  # Link.delay, inlined
+                deliver = _new_record(LogRecord, (t, "deliver", src, dst, family, size, mid, oid, "", cpb))
+                heappush(heap, (t, seq, "deliver", deliver, msg))
         self.mid, self.seq = mid, seq
 
     # -- lifecycle -------------------------------------------------------
 
     def run(self) -> EventLog:
+        """Run every event up to the horizon and return the log.
+
+        A delivery pops as ``(arrival, seq, "deliver", deliver record, msg)``
+        and its record, built by ``_send``, is appended as it is.
+        """
         sc = self.sc
         for node in self.nodes:
             self._restart_mining(node)
@@ -806,13 +838,12 @@ class _Sim:
         while heap and heap[0][0] <= horizon:
             t, _, kind, a, b = heappop(heap)
             self.now = t
-            if kind == "deliver":  # a: the send record, b: the message
-                _, _, src, dst, family, size, mid, oid, ref, val = a
-                records.append(_new_record(LogRecord, (t, "deliver", src, dst, family, size, mid, oid, ref, val)))
-                node = nodes[dst]
+            if kind == "deliver":  # a: the deliver record, b: the message
+                records.append(a)
+                node = nodes[a.dst]
                 # only a node's first copy of gossip is handled; txreq and
                 # txresp carry the oid "", which no seen set holds
-                if oid not in node.seen:
+                if a.oid not in node.seen:
                     self._on_deliver(node, a, b)
             elif kind == "found":  # a: the finder, b: its mining session
                 self._on_found(a, b)
@@ -932,13 +963,15 @@ class _Sim:
         op = tx.inputs[0]
         for node in self.nodes:
             node.chain.utxo[op] = _FAUCET_ENTRY
-        self.log.records.append(LogRecord(self.now, "tx_arrival", origin, -1, "", size, -1, short, "", 0.0))
+        record = (self.now, "tx_arrival", origin, -1, "", size, -1, short, "", 0.0)
+        self.log.records.append(_new_record(LogRecord, record))
         self._relay_new_tx(self.nodes[origin], tx, oid, size)
         self._schedule(self.now + gap, "tx_arrival")
 
     def _on_deliver(self, node: _Node, sent: LogRecord, msg) -> None:
         """Handle ``msg`` at ``node``: a pull message, or the first copy of gossip.
-        ``sent`` is its ``send`` record."""
+        ``sent`` is the ``deliver`` record it arrived under, which holds its
+        ``send`` record's columns but ``t`` and ``kind``."""
         family, oid = sent.msg, sent.oid
         if family == "txreq":
             self._handle_tx_request(node, msg, sent.src)

@@ -397,6 +397,13 @@ class TestValidateAndExitCodes:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
 
+    def test_compare_takes_no_strategy_flag(self, tiny_scenario, tmp_path):
+        # compare names its runs with --strategies; --strategy would change none
+        out = tmp_path / "o"
+        argv = ["compare", "--scenario", str(tiny_scenario), "--out", str(out), "--strategy", "LATE_ADVERT"]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert (
             main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

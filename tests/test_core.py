@@ -199,6 +199,25 @@ class TestMerkleRoot:
         leaves = [Hash(b) for b in raw]
         assert merkle_root(leaves) == merkle_oracle(leaves)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=8), st.data())
+    def test_memo_answers_only_the_last_list(self, raw, data):
+        # merkle_root keeps its last call's leaves and root: each list below
+        # follows the original and differs from it in one leaf or in length
+        leaves = [Hash(b) for b in raw]
+        i = data.draw(st.integers(0, len(leaves) - 1))
+        changed = leaves.copy()
+        changed[i] = hash_bytes(leaves[i])
+        variants = [changed, leaves + [hash_bytes(b"extra leaf")], leaves[:-1], leaves[1:]]
+        for variant in [v for v in variants if v]:
+            assert merkle_root(leaves) == merkle_oracle(leaves)
+            assert merkle_root(variant) == merkle_oracle(variant)
+        # bytes leaves and Hash leaves, called either way round, give one root
+        expected = merkle_oracle(leaves)
+        for first, second in ((raw, leaves), (leaves, raw), (tuple(raw), raw)):
+            assert merkle_root(first) == merkle_root(second) == expected
+            assert type(merkle_root(second)) is Hash
+
 
 class TestBlockMerkleSensitivity:
     def _random_block(self, rng, ntx):

@@ -75,6 +75,25 @@ class TestMakeAdvert:
         advert = make_advert(rand_address(rng), rand_hash(rng), pool)
         assert advert.tx_hashes == (txid(first),)
 
+    def test_pool_built_advert_equals_the_checked_constructor(self):
+        # make_advert skips Advert's per-hash checks for pool keys; it must
+        # still give the advert the public constructor builds
+        rng = random.Random(10)
+        utxo = {}
+        pool = Mempool()
+        for _ in range(50):
+            pool.insert_unchecked(funded_tx(rng, utxo, size=500))
+        address, tip = rand_address(rng), rand_hash(rng)
+        for cap, n in ((1_000_000, 50), (80 + 200 + 500 * 7, 7), (80 + 200, 0)):
+            policy = SelectionPolicy(max_block_size_bytes=cap, coinbase_size_bytes=200)
+            advert = make_advert(bytes(address), bytes(tip), pool, policy)
+            listed = tuple(bytes(h) for h in list(pool.txs)[:n])
+            expected = Advert(coinbase_address=bytes(address), tx_hashes=listed, prev_block_hash=bytes(tip))
+            assert advert == expected and hash(advert) == hash(expected)
+            assert type(advert.coinbase_address) is Address and type(advert.prev_block_hash) is Hash
+            assert type(advert.tx_hashes) is tuple and all(type(h) is Hash for h in advert.tx_hashes)
+            assert advert.key() == expected.key()
+
     def test_advert_rejects_duplicates(self):
         rng = random.Random(4)
         h = rand_hash(rng)
@@ -758,6 +777,32 @@ class TestMempool:
         utxo[op] = (rand_address(rng), 10)
         greedy = Transaction(inputs=(op,), outputs=((rand_address(rng), 11),))
         assert not Mempool().add(greedy, utxo)
+
+    def test_add_matches_the_reference(self):
+        # the reference: new, no input spent in the pool, every input unspent
+        # in the view, and outputs summing to at most the inputs
+        def reference(pool, tx, utxo):
+            if txid(tx) in pool.txs or any(op in pool.spent_outpoints for op in tx.inputs):
+                return False
+            entries = [utxo.get(op) for op in tx.inputs]
+            if None in entries or sum(e[1] for e in entries) < sum(v for _, v in tx.outputs):
+                return False
+            pool.insert_unchecked(tx)
+            return True
+
+        rng = random.Random(40)
+        for _ in range(300):
+            ops = [(rand_hash(rng), rng.randrange(2)) for _ in range(rng.randint(1, 6))]
+            utxo = {op: (rand_address(rng), rng.randint(0, 6)) for op in ops[1:]}  # ops[0] is unfunded
+            pool, expected = Mempool(), Mempool()
+            for _ in range(rng.randint(1, 8)):
+                inputs = tuple(rng.choice(ops) for _ in range(rng.randint(1, 3)))  # repeats included
+                outputs = tuple((rand_address(rng), rng.randint(0, 6)) for _ in range(rng.randint(1, 3)))
+                tx = Transaction(inputs=inputs, outputs=outputs)
+                for t in (tx, tx):  # and again, once it may be pooled
+                    assert pool.add(t, utxo) == reference(expected, t, utxo)
+            assert list(pool.txs.items()) == list(expected.txs.items())
+            assert list(pool.spent_outpoints.items()) == list(expected.spent_outpoints.items())
 
     def test_apply_block_removes_included_and_conflicting(self):
         rng = random.Random(37)

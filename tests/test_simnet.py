@@ -518,7 +518,15 @@ class TestDeterminismAndCausality:
         data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
         data.update(horizon_seconds=10.0, processing_delay_seconds=0.01)
         forky = [Scenario.from_dict({**data, "relay_strategy": s.value}) for s in RelayStrategy]
-        for sc in [_mini()] + forky:
+        # short links of unequal, low bandwidth: the transfer time is a large
+        # share of each delay, so that another order of the delay arithmetic,
+        # such as size * (1 / bandwidth), shows in the last bit of some arrival
+        uneven = Scenario.from_dict({
+            **data,
+            "link_latency": {"kind": "uniform", "low": 0.0, "high": 0.01},
+            "link_bandwidth": {"kind": "uniform", "low": 5_000.0, "high": 50_000.0},
+        })
+        for sc in [_mini()] + forky + [uneven]:
             sim = _Sim(sc)
             log = sim.run()
             # a send is stamped once the processing delay has passed
@@ -530,7 +538,7 @@ class TestDeterminismAndCausality:
             for d in delivers:
                 s = sends[d.mid]
                 assert d.t >= s.t
-                assert d.msg == s.msg and d.src == s.src and d.dst == s.dst and d.size == s.size
+                assert d[2:] == s[2:]  # every column but t and kind
                 # bit for bit the link's own arrival time
                 assert d.t == s.t + sim.nodes[s.src].neighbors[s.dst].delay(s.size)
 
@@ -688,6 +696,19 @@ class TestLogFormat:
             LogRecord(5e-324, "tip_adopt", 2, -1, "", 0, -1, oid, "", 1.7976931348623157e308),
             LogRecord(123456.789, "block_accept", 2, -1, "", 0, -1, oid, "", 0.0),
         ])
+        self._assert_written_as_json(log, tmp_path)
+
+    def test_equal_but_distinct_objects_match_json(self, tmp_path):
+        # the writer reuses a size or val text only for the previous record's
+        # very object: equal objects, 0.0 and -0.0 among them, are each printed
+        oid = "0123456789abcdef"
+        vals = [float("0.0"), -float("0.0"), float("0.0"), float("1e16"), float("1e16"), float("-0.0"), 0.1 + 0.2]
+        sizes = [int("1" + "0" * 20), int("1" + "0" * 20), int("500"), int("500"), 0, 0, int("-1")]
+        log = EventLog({"schema": 1})
+        for i, (size, val) in enumerate(zip(sizes, vals)):
+            log.records.append(LogRecord(0.5, "send", 0, 1, "tx", size, i, oid, "", val))
+            log.records.append(LogRecord(0.75, "deliver", 0, 1, "tx", size, i, oid, "", val))  # the same objects
+        assert [v is w for v, w in zip(vals, vals[1:])] == [False] * (len(vals) - 1)
         self._assert_written_as_json(log, tmp_path)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
@@ -1017,6 +1038,38 @@ class TestWorkloadSharedPerKey:
         sweep = json.loads((tmp_path / "out" / f"mini-sweep-{field}" / "sweep.json").read_text(encoding="utf-8"))
         assert {str(r["value"]): r["summary"]["log_sha256"] for r in sweep["runs"]} == expected
         assert len(set(expected.values())) == 2
+
+    @pytest.mark.parametrize("field, values", [("tx_rate", "1.0,2.0,3.0"), ("node_count", "4,6")])
+    def test_sweep_over_an_arrival_field_builds_one_pool(self, field, values, monkeypatch, tmp_path):
+        # the warm pool depends on the seed, initial_mempool_txs and
+        # tx_size_bytes alone, so a sweep over tx_rate or node_count fills it once
+        import advertsim.simnet as simnet
+        from advertsim.cli import EXIT_OK, main
+        from advertsim.protocol import Mempool
+
+        base = _mini(horizon_seconds=5.0)
+        expected = {}
+        for raw in values.split(","):
+            value = type(getattr(base, field))(raw)
+            simnet.drop_workload()
+            expected[str(value)] = run_scenario(replace(base, **{field: value})).sha256()
+        simnet.drop_workload()
+        inserted = []
+        real = Mempool.insert_unchecked
+
+        def counting(pool, tx):
+            inserted.append(tx)
+            return real(pool, tx)
+
+        monkeypatch.setattr(Mempool, "insert_unchecked", counting)
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(base.to_dict()), encoding="utf-8")
+        argv = ["sweep", "--scenario", str(path), "--sweep", f"{field}={values}", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert len(inserted) == base.initial_mempool_txs > 0
+        sweep = json.loads((tmp_path / "out" / f"mini-sweep-{field}" / "sweep.json").read_text(encoding="utf-8"))
+        assert {str(r["value"]): r["summary"]["log_sha256"] for r in sweep["runs"]} == expected
+        assert len(set(expected.values())) == len(expected)
 
     def test_compare_builds_each_transaction_once(self, monkeypatch, tmp_path):
         import advertsim.core as core
