@@ -120,11 +120,6 @@ class CoinbaseTransaction:
         _check_u64("extra_nonce", self.extra_nonce)
         _set_txid(self)
 
-    @property
-    def outputs(self) -> tuple[tuple[Address, int], ...]:
-        # exactly one output, paying the coinbase address
-        return ((self.coinbase_address, self.reward),)
-
 
 @dataclass(frozen=True, slots=True)
 class CompactTarget:

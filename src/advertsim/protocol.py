@@ -151,42 +151,32 @@ class AdvertRegistry:
             del self.entries[key]
         return len(stale)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class Mempool:
-    """Pending transactions, conflict-free and valid against the current tip."""
+    """Pending transactions, conflict-free and valid against the current tip.
+
+    ``min_size`` is the least nominal size of any transaction ever inserted
+    (None while nothing has been): removals leave it alone, so it stays a
+    lower bound on every pooled size.
+    """
 
     def __init__(self) -> None:
         self.txs: dict[Hash, Transaction] = {}
         self.spent_outpoints: dict[Outpoint, Hash] = {}
-
-    def __contains__(self, h: Hash) -> bool:
-        return h in self.txs
-
-    def __len__(self) -> int:
-        return len(self.txs)
-
-    def get(self, h: Hash) -> Transaction | None:
-        return self.txs.get(h)
+        self.min_size: int | None = None
 
     def add(self, tx: Transaction, utxo: "UtxoView | dict") -> bool:
         """Admit ``tx`` if it is new, valid against ``utxo``, and conflict-free."""
         h = txid(tx)
-        txs = self.txs
-        if h in txs:
+        if h in self.txs:
             return False
         spent = self.spent_outpoints
-        inputs = tx.inputs
-        for op in inputs:
+        for op in tx.inputs:
             if op in spent:
                 return False
         if not tx_valid(tx, utxo):
             return False
-        txs[h] = tx
-        for op in inputs:
-            spent[op] = h
+        self._insert(h, tx)
         return True
 
     def copy(self) -> "Mempool":
@@ -194,6 +184,7 @@ class Mempool:
         pool = Mempool()
         pool.txs = self.txs.copy()
         pool.spent_outpoints = self.spent_outpoints.copy()
+        pool.min_size = self.min_size
         return pool
 
     def head(self, n: int) -> "Mempool":
@@ -212,6 +203,9 @@ class Mempool:
         self.txs[h] = tx
         for op in tx.inputs:
             self.spent_outpoints[op] = h
+        s = tx.nominal_size_bytes
+        if self.min_size is None or s < self.min_size:
+            self.min_size = s
 
     def remove(self, h: Hash) -> None:
         tx = self.txs.pop(h, None)
@@ -265,9 +259,6 @@ class UtxoView:
             return v
         return self.base.get(outpoint)
 
-    def __contains__(self, outpoint: Outpoint) -> bool:
-        return self.get(outpoint) is not None
-
 
 def tx_valid(tx: Transaction, utxo: UtxoView | dict) -> bool:
     """All inputs unspent in ``utxo``, and no value created from nothing."""
@@ -299,6 +290,8 @@ class AddOutcome:
 class ChainState:
     """One node's history of validated blocks: heights, the tip, and the tip's UTXO set.
 
+    ``height`` is the tip's height, read from ``heights``.
+
     Tip selection is longest chain; ties keep the incumbent (first
     received wins). ``checked`` maps a header hash to ``(block, leaves,
     delta)`` for a block whose content passed the Merkle and
@@ -319,9 +312,12 @@ class ChainState:
         self.genesis_hash = Hash(genesis_hash)
         self.checked = {} if checked is None else checked
         self.tip_hash = self.genesis_hash
-        self.height = 0
         self.heights: dict[Hash, int] = {self.genesis_hash: 0}
         self.utxo: dict[Outpoint, tuple[Address, int]] = dict(genesis_utxo)
+
+    @property
+    def height(self) -> int:
+        return self.heights[self.tip_hash]
 
     def knows(self, h: Hash) -> bool:
         return h in self.heights
@@ -395,7 +391,6 @@ class ChainState:
         if parent == self.tip_hash:
             self._apply(h)
             self.tip_hash = h
-            self.height = height
             return AddOutcome("extended", added=(block,))
         if height > self.height:
             return self._reorg_to(h)
@@ -408,7 +403,6 @@ class ChainState:
         for fh in forward:
             self._apply(fh)
         self.tip_hash = h
-        self.height = self.heights[h]
         checked = self.checked
         return AddOutcome("reorged", tuple(checked[bh][0] for bh in back), tuple(checked[fh][0] for fh in forward))
 
@@ -470,31 +464,35 @@ def make_advert(
 
     Transactions are taken in arrival order while the modeled block size
     stays under the cap, skipping any that conflict with one already
-    chosen. An empty mempool yields an empty list: a coinbase-only block
-    is legal.
+    chosen. The scan stops once the room left is below ``mempool.min_size``,
+    when nothing pooled can fit. An empty mempool yields an empty list: a
+    coinbase-only block is legal.
     """
     budget = policy.max_block_size_bytes - HEADER_WIRE_BYTES - policy.coinbase_size_bytes
     chosen: list[Hash] = []
     spent: set[Outpoint] = set()
     used = 0
+    smallest = mempool.min_size
     for h, tx in mempool.txs.items():
         s = tx.nominal_size_bytes
         if used + s > budget:
             continue
-        if any(op in spent for op in tx.inputs):
+        if not spent.isdisjoint(tx.inputs):
             continue
         chosen.append(h)
         spent.update(tx.inputs)
         used += s
+        if budget - used < smallest:  # nothing pooled fits any more
+            break
     return _pool_advert(address, tuple(chosen), tip)
 
 
-def missing_txs(advert: Advert, mempool: Mempool | dict[Hash, Transaction]) -> list[Hash]:
-    """Advertised hashes not in the pool (a Mempool or a txid map), in advert order."""
+def missing_txs(advert: Advert, store: dict[Hash, Transaction]) -> list[Hash]:
+    """Advertised hashes not in ``store``, a txid map, in advert order."""
     hashes = advert.tx_hashes
-    if all(map(mempool.__contains__, hashes)):  # nothing to pull, as in over 99% of calls
+    if all(map(store.__contains__, hashes)):  # nothing to pull, as in over 99% of calls
         return []
-    return [h for h in hashes if h not in mempool]
+    return [h for h in hashes if h not in store]
 
 
 def make_block_seed(block: Block) -> BlockSeed:
@@ -513,21 +511,21 @@ class ReconstructionResult:
 
 
 def reconstruct_block(
-    seed: BlockSeed, registry: AdvertRegistry, mempool: Mempool | dict[Hash, Transaction]
+    seed: BlockSeed, registry: AdvertRegistry, store: dict[Hash, Transaction]
 ) -> ReconstructionResult:
     """Assemble the full block a seed refers to.
 
     Looks up the advert under (seed address, header's prev hash) and
-    resolves the advertised hashes from the pool, a Mempool or a txid
-    map. Merkle agreement is validation's job, not reconstruction's.
+    resolves the advertised hashes from ``store``, a txid map. Merkle
+    agreement is validation's job, not reconstruction's.
     """
     advert = registry.lookup(seed.coinbase_address, seed.header.prev_block_hash)
     if advert is None:
         return ReconstructionResult(None, Reason.NO_MATCHING_ADVERT)
-    missing = missing_txs(advert, mempool)
+    missing = missing_txs(advert, store)
     if missing:
         return ReconstructionResult(None, Reason.MISSING_TXS, tuple(missing))
-    txs = tuple(mempool.get(h) for h in advert.tx_hashes)
+    txs = tuple(map(store.__getitem__, advert.tx_hashes))
     return ReconstructionResult(Block(header=seed.header, coinbase=seed.coinbase, transactions=txs))
 
 

@@ -944,7 +944,7 @@ class _Sim:
             family, size = "seed", serialized_size(msg)
         node.seen.add(oid)
         self._send(node, msg, family, oid, float(size), size)
-        self._accept(node, block, bh, 0.0)
+        self._accept(node, block, bh, oid, 0.0)
 
     def _on_tx_arrival(self) -> None:
         """Relay the next faucet arrival from its origin, or stop once all
@@ -1067,7 +1067,7 @@ class _Sim:
             # advert and pull bytes that had to move after the block was found
             found = self.find_time[bh]
             pb += sum(size for t, size in node.pull_log.get(key, ()) if t >= found)
-        self._accept(node, block, bh, pb)
+        self._accept(node, block, bh, sent.oid, pb)
         # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
         self._send(node, msg, sent.msg, sent.oid, sent.val + sent.size, sent.size, sent.src)
@@ -1108,25 +1108,15 @@ class _Sim:
         node.pull_log[key].append((self.now + self.proc, float(size)))
         self._send(node, req, "txreq", "", 0.0, size, to=target)
 
-    def _accept(self, node: _Node, block: Block, bh: Hash, pb: float) -> None:
-        self.log.records.append(
-            LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, bh.short(), "", pb)
-        )
+    def _accept(self, node: _Node, block: Block, bh: Hash, oid: str, pb: float) -> None:
+        """Log and absorb ``block`` (header hash ``bh``, short id ``oid``) at ``node``.
+        A tip change can only adopt this block: ``add_block`` moves the tip to
+        the block it adds or nowhere, so both records carry ``oid``."""
+        self.log.records.append(LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, oid, "", pb))
         chain = node.chain
         if on_block_accepted(chain, node.mempool, node.registry, block).tip_changed:
             self.log.records.append(
-                LogRecord(
-                    self.now,
-                    "tip_adopt",
-                    node.nid,
-                    -1,
-                    "",
-                    0,
-                    -1,
-                    chain.tip_hash.short(),
-                    "",
-                    float(chain.height),
-                )
+                LogRecord(self.now, "tip_adopt", node.nid, -1, "", 0, -1, oid, "", float(chain.height))
             )
             self._restart_mining(node)
         self._wake(node, bh)

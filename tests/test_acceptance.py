@@ -189,7 +189,7 @@ def test_criterion_roundtrip_suite():
     for i in range(500):
         bundle = advertised_block(rng, bits=5, ntx=rng.randrange(1, 8))
         seed = make_block_seed(bundle.block)
-        rec = reconstruct_block(seed, bundle.registry, bundle.mempool)
+        rec = reconstruct_block(seed, bundle.registry, bundle.mempool.txs)
         assert rec.ok, f"cycle {i}: reconstruction failed with {rec.reason}"
         assert rec.block == bundle.block, f"cycle {i}: reconstruction not exact"
         assert tuple(txid(t) for t in rec.block.transactions) == bundle.advert.tx_hashes

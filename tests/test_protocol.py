@@ -12,10 +12,12 @@ from advertsim.core import (
     BlockHeader,
     CoinbaseTransaction,
     CompactTarget,
+    HEADER_WIRE_BYTES,
     Hash,
     Transaction,
     block_hash,
     merkle_root,
+    serialize,
     serialized_size,
     txid,
 )
@@ -94,6 +96,51 @@ class TestMakeAdvert:
             assert type(advert.tx_hashes) is tuple and all(type(h) is Hash for h in advert.tx_hashes)
             assert advert.key() == expected.key()
 
+    def test_selection_matches_the_full_scan_reference(self):
+        # the reference scans the whole pool; make_advert stops once the room
+        # left is below the pool's min_size, which must stay a lower bound on
+        # every pooled size through removals, head() and copy()
+        def reference(pool, policy):
+            room = policy.max_block_size_bytes - HEADER_WIRE_BYTES - policy.coinbase_size_bytes
+            chosen, spent = [], set()
+            for h, tx in pool.txs.items():
+                if tx.nominal_size_bytes <= room and not spent & set(tx.inputs):
+                    chosen.append(h)
+                    spent.update(tx.inputs)
+                    room -= tx.nominal_size_bytes
+            return tuple(chosen)
+
+        rng = random.Random(41)
+        ops = [(rand_hash(rng), 0) for _ in range(60)]
+        utxo = {op: (rand_address(rng), 10) for op in ops}
+        universe = []
+        for _ in range(120):
+            inputs = tuple(rng.sample(ops, rng.randint(1, 2)))  # shared outpoints: conflicts
+            outputs = ((rand_address(rng), 10),)
+            floor = len(serialize(Transaction(inputs=inputs, outputs=outputs)))
+            size = floor + rng.choice((0, 0, 7, 40, 150, 400))
+            universe.append(Transaction(inputs=inputs, outputs=outputs, nominal_size_bytes=size))
+        address, tip = rand_address(rng), rand_hash(rng)
+        for _ in range(3000):
+            pool = Mempool()
+            for _ in range(rng.randint(0, 40)):
+                step = rng.random()
+                if step < 0.45:
+                    pool.insert_unchecked(rng.choice(universe))  # conflicting entries included
+                elif step < 0.7:
+                    pool.add(rng.choice(universe), utxo)
+                elif step < 0.85 and pool.txs:
+                    pool.remove(rng.choice(list(pool.txs)))
+                elif step < 0.93:
+                    pool = pool.copy()
+                else:
+                    pool = pool.head(rng.randint(0, len(pool.txs)))
+            total = sum(tx.nominal_size_bytes for tx in pool.txs.values())
+            coinbase = rng.choice((0, 200))
+            cap = HEADER_WIRE_BYTES + coinbase + rng.randint(0, total)
+            policy = SelectionPolicy(max_block_size_bytes=cap, coinbase_size_bytes=coinbase)
+            assert make_advert(address, tip, pool, policy).tx_hashes == reference(pool, policy)
+
     def test_advert_rejects_duplicates(self):
         rng = random.Random(4)
         h = rand_hash(rng)
@@ -126,7 +173,7 @@ class TestRegistry:
         reg = AdvertRegistry()
         assert reg.register(a1) is True
         assert reg.register(a2) is True
-        assert len(reg) == 2
+        assert len(reg.entries) == 2
 
     def test_randomized_first_arrival_wins(self):
         rng = random.Random(8)
@@ -167,13 +214,12 @@ class TestMissingTxs:
         rng = random.Random(10)
         bundle = advertised_block(rng, bits=0)
         assert bundle.advert.tx_hashes
-        assert missing_txs(bundle.advert, bundle.mempool) == []
-        assert missing_txs(bundle.advert, bundle.mempool.txs) == []  # a txid map answers alike
+        assert missing_txs(bundle.advert, bundle.mempool.txs) == []
 
     def test_none_present(self):
         rng = random.Random(11)
         bundle = advertised_block(rng, bits=0)
-        assert missing_txs(bundle.advert, Mempool()) == list(bundle.advert.tx_hashes)
+        assert missing_txs(bundle.advert, {}) == list(bundle.advert.tx_hashes)
 
     def test_order_preserving_difference(self):
         rng = random.Random(12)
@@ -186,8 +232,7 @@ class TestMissingTxs:
         )
         pool = Mempool()
         pool.insert_unchecked(b)
-        assert missing_txs(advert, pool) == [txid(a), txid(c)]
-        assert missing_txs(advert, pool.txs) == [txid(a), txid(c)]  # a txid map answers alike
+        assert missing_txs(advert, pool.txs) == [txid(a), txid(c)]
 
 
 class TestBlockSeed:
@@ -246,14 +291,14 @@ class TestReconstruction:
         rng = random.Random(17)
         bundle = advertised_block(rng, bits=4)
         seed = make_block_seed(bundle.block)
-        rec = reconstruct_block(seed, bundle.registry, bundle.mempool)
+        rec = reconstruct_block(seed, bundle.registry, bundle.mempool.txs)
         assert rec.ok
         assert rec.block == bundle.block
 
     def test_unadvertised_seed_fails(self):
         rng = random.Random(18)
         bundle = advertised_block(rng, bits=0)
-        rec = reconstruct_block(make_block_seed(bundle.block), AdvertRegistry(), bundle.mempool)
+        rec = reconstruct_block(make_block_seed(bundle.block), AdvertRegistry(), bundle.mempool.txs)
         assert not rec.ok
         assert rec.reason is Reason.NO_MATCHING_ADVERT
 
@@ -262,7 +307,7 @@ class TestReconstruction:
         bundle = advertised_block(rng, bits=0, ntx=3)
         victim = bundle.advert.tx_hashes[1]
         bundle.mempool.remove(victim)
-        rec = reconstruct_block(make_block_seed(bundle.block), bundle.registry, bundle.mempool)
+        rec = reconstruct_block(make_block_seed(bundle.block), bundle.registry, bundle.mempool.txs)
         assert not rec.ok
         assert rec.reason is Reason.MISSING_TXS
         assert rec.missing == (victim,)
@@ -682,8 +727,8 @@ class TestOnBlockAccepted:
         conflictor = Transaction(inputs=(op,), outputs=((rand_address(rng), 7),))
         bundle.mempool.insert_unchecked(conflictor)
         assert self._accept(bundle, bundle.block).kind == "extended"
-        assert txid(conflictor) not in bundle.mempool
-        assert len(bundle.mempool) == 0
+        assert txid(conflictor) not in bundle.mempool.txs
+        assert len(bundle.mempool.txs) == 0
 
     def test_reorg_restores_and_revalidates_mempool(self):
         rng = random.Random(33)
@@ -715,7 +760,7 @@ class TestOnBlockAccepted:
         registry = AdvertRegistry()
         assert on_block_accepted(chain, pool, registry, block_a).kind == "extended"
         assert chain.tip_hash == block_hash(block_a)
-        assert txid(tx_a) not in pool
+        assert txid(tx_a) not in pool.txs
 
         outcome = on_block_accepted(chain, pool, registry, block_b1)  # side branch, no adoption yet
         assert outcome.kind == "side" and not outcome.tip_changed
@@ -727,8 +772,8 @@ class TestOnBlockAccepted:
         assert chain.tip_hash == block_hash(block_b2)
         assert chain.height == 2
         # tx_a came back from the abandoned branch; tx_b was mined on B
-        assert txid(tx_a) in pool
-        assert txid(tx_b) not in pool
+        assert txid(tx_a) in pool.txs
+        assert txid(tx_b) not in pool.txs
         # full-revalidation oracle: every pooled tx valid, no conflicts
         view = UtxoView(chain.utxo)
         seen_ops = set()
@@ -768,7 +813,7 @@ class TestMempool:
         assert not pool.add(rival, utxo)
         stranger = Transaction(inputs=((rand_hash(rng), 0),), outputs=((rand_address(rng), 1),))
         assert not pool.add(stranger, utxo)
-        assert len(pool) == 1
+        assert len(pool.txs) == 1
 
     def test_add_rejects_value_inflation(self):
         rng = random.Random(36)
@@ -813,7 +858,7 @@ class TestMempool:
         )
         bundle.mempool.insert_unchecked(conflictor)
         bundle.mempool.apply_block(bundle.block)
-        assert len(bundle.mempool) == 0
+        assert len(bundle.mempool.txs) == 0
 
     def test_head_is_the_pool_as_it_stood(self):
         rng = random.Random(39)

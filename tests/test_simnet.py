@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advertsim.core import Transaction, hash_bytes, serialized_size, txid
+from advertsim.core import Transaction, block_hash, hash_bytes, serialized_size, txid
 from advertsim.metrics import summarize
 from advertsim.protocol import Advert, make_advert as select_list
 from advertsim.simnet import (
@@ -503,6 +503,39 @@ class TestConvergence:
         assert gap <= 2, f"a node ends {gap:g} blocks below the highest block found"
 
 
+class TestTipAdoptFollowsItsAccept:
+    """A tip change adopts the block just accepted, by extension or by reorg,
+    so a ``tip_adopt`` record names the block of the ``block_accept`` before it."""
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_each_adoption_is_the_accepted_block(self, strategy, monkeypatch):
+        import advertsim.simnet as simnet
+
+        outcomes = collections.Counter()
+        real = simnet.on_block_accepted
+
+        def checking(chain, pool, registry, block):
+            outcome = real(chain, pool, registry, block)
+            if outcome.tip_changed:
+                assert chain.tip_hash == block_hash(block)
+            outcomes[outcome.kind] += 1
+            return outcome
+
+        monkeypatch.setattr(simnet, "on_block_accepted", checking)
+        log = run_scenario(_forky_cold(horizon_seconds=20.0, relay_strategy=strategy))
+        records = log.records
+        heights = {r.oid: r.val for r in records if r.kind == "block_found"}
+        adopts = 0
+        for i, r in enumerate(records):
+            if r.kind == "tip_adopt":
+                prev = records[i - 1]
+                assert prev.kind == "block_accept" and (prev.t, prev.src, prev.oid) == (r.t, r.src, r.oid)
+                assert r.val == heights[r.oid]  # the chain's height is the adopted block's
+                adopts += 1
+        assert adopts == outcomes["extended"] + outcomes["reorged"]
+        assert outcomes["reorged"] and outcomes["side"]  # forky: both kinds of tip change, and side blocks
+
+
 class TestDeterminismAndCausality:
     @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
     def test_equal_seeds_equal_logs(self, strategy):
@@ -970,7 +1003,7 @@ class TestWarmPoolFilledOnce:
         assert first.mempool.add(extra, first.chain.utxo)
         first.tx_store[txid(extra)] = extra
         first.mempool.remove(next(iter(first.mempool.txs)))
-        assert len(first.mempool) == 50 and len(first.tx_store) == 51
+        assert len(first.mempool.txs) == 50 and len(first.tx_store) == 51
         assert (list(pool.txs.items()), list(pool.spent_outpoints.items()), list(second.tx_store.items())) == before
 
 
