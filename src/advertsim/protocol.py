@@ -16,9 +16,11 @@ is known by its header hash.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from types import MappingProxyType
 
 from .core import (
     ADVERT_FRAMING_BYTES,
@@ -165,7 +167,7 @@ class Mempool:
         self.spent_outpoints: dict[Outpoint, Hash] = {}
         self.min_size: int | None = None
 
-    def add(self, tx: Transaction, utxo: "UtxoView | dict") -> bool:
+    def add(self, tx: Transaction, utxo: Mapping[Outpoint, Entry]) -> bool:
         """Admit ``tx`` if it is new, valid against ``utxo``, and conflict-free."""
         h = txid(tx)
         if h in self.txs:
@@ -185,14 +187,6 @@ class Mempool:
         pool.txs = self.txs.copy()
         pool.spent_outpoints = self.spent_outpoints.copy()
         pool.min_size = self.min_size
-        return pool
-
-    def head(self, n: int) -> "Mempool":
-        """A pool of the first ``n`` transactions in arrival order: this pool
-        as it stood when it held ``n``, if it has only grown since."""
-        pool = Mempool()
-        for h, tx in islice(self.txs.items(), n):
-            pool._insert(h, tx)
         return pool
 
     def insert_unchecked(self, tx: Transaction) -> None:
@@ -229,7 +223,7 @@ class Mempool:
                     self.remove(c)
             self.txs.pop(h, None)
 
-    def revalidate(self, utxo: "UtxoView | dict") -> list[Hash]:
+    def revalidate(self, utxo: Mapping[Outpoint, Entry]) -> list[Hash]:
         """Drop every pooled transaction no longer valid; returns dropped ids."""
         dropped = [h for h, tx in self.txs.items() if not tx_valid(tx, utxo)]
         for h in dropped:
@@ -237,41 +231,30 @@ class Mempool:
         return dropped
 
 
-_SPENT = object()  # tombstone in UtxoView overlays
+Entry = tuple[Address, int]  # an unspent output: (payee, value)
 # a block's effect on its parent's UTXO set: (spent, created) (outpoint, entry) pairs
-Delta = tuple[tuple[tuple[Outpoint, tuple[Address, int]], ...], tuple[tuple[Outpoint, tuple[Address, int]], ...]]
+Delta = tuple[tuple[tuple[Outpoint, Entry], ...], tuple[tuple[Outpoint, Entry], ...]]
 
 
-class UtxoView:
-    """Read-only UTXO lookup: an overlay of deltas on a base mapping."""
-
-    __slots__ = ("base", "overrides")
-
-    def __init__(self, base: dict, overrides: dict | None = None) -> None:
-        self.base = base
-        self.overrides = overrides or {}
-
-    def get(self, outpoint: Outpoint):
-        v = self.overrides.get(outpoint)
-        if v is _SPENT:
-            return None
-        if v is not None:
-            return v
-        return self.base.get(outpoint)
-
-
-def tx_valid(tx: Transaction, utxo: UtxoView | dict) -> bool:
-    """All inputs unspent in ``utxo``, and no value created from nothing."""
+def _spend(tx: Transaction, get: Callable[[Outpoint], Entry | None], spent: dict[Outpoint, Entry]) -> bool:
+    """The one spend rule, of pool admission and block validation alike:
+    every input is found through ``get`` and not yet in ``spent`` (which
+    records it), and the outputs pay out no more than the inputs hold."""
     total_in = 0
-    getter = utxo.get
     for op in tx.inputs:
-        entry = getter(op)
-        if entry is None:
+        entry = get(op)
+        if entry is None or op in spent:
             return False
+        spent[op] = entry
         total_in += entry[1]
     for _, v in tx.outputs:
         total_in -= v
     return total_in >= 0
+
+
+def tx_valid(tx: Transaction, utxo: Mapping[Outpoint, Entry]) -> bool:
+    """``tx`` may spend from ``utxo`` on its own: ``_spend`` from nothing spent."""
+    return _spend(tx, utxo.get, {})
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,8 +280,8 @@ class ChainState:
     delta)`` for a block whose content passed the Merkle and
     transaction-validity checks (see ``_check_content``): the block, its
     Merkle leaves, and its effect on its parent's UTXO set, ``(spent,
-    created)`` tuples of (outpoint, entry) pairs, which applying, undoing
-    and fork-point UTXO views replay. Chains may share one map only if
+    created)`` tuples of (outpoint, entry) pairs, which ``_move`` replays
+    to walk a UTXO set along the chain. Chains may share one map only if
     they start from the same genesis hash and UTXO set, as the nodes of
     one network do; by default a chain keeps its own.
     """
@@ -306,14 +289,14 @@ class ChainState:
     def __init__(
         self,
         genesis_hash: Hash,
-        genesis_utxo: dict[Outpoint, tuple[Address, int]],
+        genesis_utxo: dict[Outpoint, Entry],
         checked: dict[Hash, tuple[Block, tuple[Hash, ...], Delta]] | None = None,
     ):
         self.genesis_hash = Hash(genesis_hash)
         self.checked = {} if checked is None else checked
         self.tip_hash = self.genesis_hash
         self.heights: dict[Hash, int] = {self.genesis_hash: 0}
-        self.utxo: dict[Outpoint, tuple[Address, int]] = dict(genesis_utxo)
+        self.utxo: dict[Outpoint, Entry] = dict(genesis_utxo)
 
     @property
     def height(self) -> int:
@@ -322,26 +305,30 @@ class ChainState:
     def knows(self, h: Hash) -> bool:
         return h in self.heights
 
-    # -- UTXO views ------------------------------------------------------
+    # -- UTXO walks ------------------------------------------------------
 
-    def utxo_view_at(self, block_h: Hash) -> UtxoView:
-        """UTXO view as of ``block_h`` (a known block), tip fast-path free."""
+    def utxo_view_at(self, block_h: Hash) -> Mapping[Outpoint, Entry]:
+        """The read-only UTXO set as of ``block_h``, a known block: the tip's
+        set itself, or a copy of it moved to ``block_h``."""
         if block_h == self.tip_hash:
-            return UtxoView(self.utxo)
-        overrides: dict = {}
+            return MappingProxyType(self.utxo)
+        utxo = dict(self.utxo)
+        self._move(utxo, *self._paths_between(self.tip_hash, block_h))
+        return MappingProxyType(utxo)
+
+    def _move(self, utxo: dict[Outpoint, Entry], back: Sequence[Hash], forward: Sequence[Hash]) -> None:
+        """Undo the deltas of ``back`` on ``utxo``, then apply those of ``forward``."""
         checked = self.checked
-        back, forward = self._paths_between(self.tip_hash, block_h)
-        for h in back:  # roll the tip back
+        for h in back:
             spent, created = checked[h][2]
             for op, _ in created:
-                overrides[op] = _SPENT
-            overrides.update(spent)
-        for h in forward:  # then walk out to the fork block
+                del utxo[op]
+            utxo.update(spent)
+        for h in forward:
             spent, created = checked[h][2]
             for op, _ in spent:
-                overrides[op] = _SPENT
-            overrides.update(created)
-        return UtxoView(self.utxo, overrides)
+                del utxo[op]
+            utxo.update(created)
 
     def _paths_between(self, frm: Hash, to: Hash) -> tuple[list[Hash], list[Hash]]:
         """Blocks to unapply from ``frm`` and apply toward ``to``: both ends step
@@ -387,36 +374,17 @@ class ChainState:
                 raise ValueError(f"added block fails its content checks: {reason.value}")
         height = self.heights[parent] + 1
         self.heights[h] = height
-
         if parent == self.tip_hash:
-            self._apply(h)
+            self._move(self.utxo, (), (h,))
             self.tip_hash = h
             return AddOutcome("extended", added=(block,))
-        if height > self.height:
-            return self._reorg_to(h)
-        return AddOutcome("side")
-
-    def _reorg_to(self, h: Hash) -> AddOutcome:
+        if height <= self.height:
+            return AddOutcome("side")
         back, forward = self._paths_between(self.tip_hash, h)
-        for bh in back:
-            self._unapply(bh)
-        for fh in forward:
-            self._apply(fh)
+        self._move(self.utxo, back, forward)
         self.tip_hash = h
         checked = self.checked
         return AddOutcome("reorged", tuple(checked[bh][0] for bh in back), tuple(checked[fh][0] for fh in forward))
-
-    def _apply(self, h: Hash) -> None:
-        spent, created = self.checked[h][2]
-        for op, _ in spent:
-            del self.utxo[op]
-        self.utxo.update(created)
-
-    def _unapply(self, h: Hash) -> None:
-        spent, created = self.checked[h][2]
-        for op, _ in created:
-            del self.utxo[op]
-        self.utxo.update(spent)
 
 
 def _block_delta(block: Block, chain: ChainState) -> Delta | None:
@@ -425,18 +393,11 @@ def _block_delta(block: Block, chain: ChainState) -> Delta | None:
     it creates. None if an input is missing from the parent's view or spent
     earlier in the block, or a transaction pays out more than its inputs hold."""
     get = chain.utxo_view_at(block.header.prev_block_hash).get
-    spent: dict[Outpoint, tuple[Address, int]] = {}
+    spent: dict[Outpoint, Entry] = {}
     cb = block.coinbase
     created = [((txid(cb), 0), (cb.coinbase_address, cb.reward))]
     for tx in block.transactions:
-        total_in = 0
-        for op in tx.inputs:
-            entry = get(op)
-            if entry is None or op in spent:
-                return None
-            spent[op] = entry
-            total_in += entry[1]
-        if total_in < sum(v for _, v in tx.outputs):
+        if not _spend(tx, get, spent):
             return None
         h = txid(tx)
         created.extend(((h, i), out) for i, out in enumerate(tx.outputs))
@@ -459,13 +420,15 @@ def make_advert(
     tip: Hash,
     mempool: Mempool,
     policy: SelectionPolicy = SelectionPolicy(),
+    limit: int | None = None,
 ) -> Advert:
     """Announce the next block: tip, miner address, and the chosen tx list.
 
-    Transactions are taken in arrival order while the modeled block size
-    stays under the cap, skipping any that conflict with one already
-    chosen. The scan stops once the room left is below ``mempool.min_size``,
-    when nothing pooled can fit. An empty mempool yields an empty list: a
+    Transactions are taken in arrival order, from the first ``limit`` of
+    the pool (all of it when None), while the modeled block size stays
+    under the cap, skipping any that conflict with one already chosen. The
+    scan stops once the room left is below ``mempool.min_size``, when
+    nothing pooled can fit. An empty mempool yields an empty list: a
     coinbase-only block is legal.
     """
     budget = policy.max_block_size_bytes - HEADER_WIRE_BYTES - policy.coinbase_size_bytes
@@ -473,7 +436,7 @@ def make_advert(
     spent: set[Outpoint] = set()
     used = 0
     smallest = mempool.min_size
-    for h, tx in mempool.txs.items():
+    for h, tx in islice(mempool.txs.items(), limit):
         s = tx.nominal_size_bytes
         if used + s > budget:
             continue
@@ -543,7 +506,7 @@ def validate_block(block: Block, registry: AdvertRegistry, chain: ChainState) ->
     5. the non-coinbase tx ids equal the advertised list exactly, in order
     6. the recomputed Merkle root matches the header
     7. every transaction is valid against the parent's UTXO view,
-       with no double spends inside the block
+       with no outpoint spent twice in the block (see ``_spend``)
     """
     advert = registry.lookup(block.coinbase.coinbase_address, block.header.prev_block_hash)
     if advert is None:

@@ -911,8 +911,8 @@ class _Sim:
         else:
             # within a session the pool only grows, in arrival order: its
             # first pool_at_start entries are the pool as the session found it
-            pool = node.mempool.head(node.pool_at_start)
-            advert, started = make_advert(node.address, node.chain.tip_hash, pool, self.policy), node.started
+            advert = make_advert(node.address, node.chain.tip_hash, node.mempool, self.policy, node.pool_at_start)
+            started = node.started
         block = mine(self._template_from(node, advert, started), _SIM_POW_BUDGET)
         assert block is not None, "simulation proof target missed its budget"
         bh = block_hash(block)

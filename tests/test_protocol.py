@@ -30,7 +30,6 @@ from advertsim.protocol import (
     Mempool,
     Reason,
     SelectionPolicy,
-    UtxoView,
     make_advert,
     make_block_seed,
     missing_txs,
@@ -97,13 +96,13 @@ class TestMakeAdvert:
             assert advert.key() == expected.key()
 
     def test_selection_matches_the_full_scan_reference(self):
-        # the reference scans the whole pool; make_advert stops once the room
-        # left is below the pool's min_size, which must stay a lower bound on
-        # every pooled size through removals, head() and copy()
-        def reference(pool, policy):
+        # the reference scans the whole prefix; make_advert stops once the
+        # room left is below the pool's min_size, which must stay a lower
+        # bound on every size in any prefix through removals and copy()
+        def reference(pool, policy, limit):
             room = policy.max_block_size_bytes - HEADER_WIRE_BYTES - policy.coinbase_size_bytes
             chosen, spent = [], set()
-            for h, tx in pool.txs.items():
+            for h, tx in list(pool.txs.items())[:limit]:
                 if tx.nominal_size_bytes <= room and not spent & set(tx.inputs):
                     chosen.append(h)
                     spent.update(tx.inputs)
@@ -131,15 +130,14 @@ class TestMakeAdvert:
                     pool.add(rng.choice(universe), utxo)
                 elif step < 0.85 and pool.txs:
                     pool.remove(rng.choice(list(pool.txs)))
-                elif step < 0.93:
-                    pool = pool.copy()
                 else:
-                    pool = pool.head(rng.randint(0, len(pool.txs)))
+                    pool = pool.copy()
             total = sum(tx.nominal_size_bytes for tx in pool.txs.values())
             coinbase = rng.choice((0, 200))
             cap = HEADER_WIRE_BYTES + coinbase + rng.randint(0, total)
             policy = SelectionPolicy(max_block_size_bytes=cap, coinbase_size_bytes=coinbase)
-            assert make_advert(address, tip, pool, policy).tx_hashes == reference(pool, policy)
+            limit = rng.choice((None, rng.randint(0, len(pool.txs))))
+            assert make_advert(address, tip, pool, policy, limit).tx_hashes == reference(pool, policy, limit)
 
     def test_advert_rejects_duplicates(self):
         rng = random.Random(4)
@@ -669,11 +667,15 @@ class TestUtxoReplayOracle:
             for chain, h in zip(chains, step):
                 assert validate_block_baseline(blocks[h], chain).accepted
                 reorgs += chain.add_block(blocks[h]).kind == "reorged"
-                assert chain.utxo == self._replay(genesis, faucet, blocks, chain.tip_hash)
+                tip_utxo = self._replay(genesis, faucet, blocks, chain.tip_hash)
+                assert chain.utxo == tip_utxo
                 for known in chain.heights:
                     view = chain.utxo_view_at(known)
                     expected = self._replay(genesis, faucet, blocks, known)
                     assert all(view.get(op) == expected.get(op) for op in touched)
+                    with pytest.raises(TypeError):  # read-only by type
+                        view[next(iter(faucet))] = (rand_address(rng), 1)
+                assert chain.utxo == tip_utxo  # the off-tip views moved copies, not the tip's set
         assert len(checked) == len(blocks)
         return reorgs
 
@@ -775,11 +777,10 @@ class TestOnBlockAccepted:
         assert txid(tx_a) in pool.txs
         assert txid(tx_b) not in pool.txs
         # full-revalidation oracle: every pooled tx valid, no conflicts
-        view = UtxoView(chain.utxo)
         seen_ops = set()
         for tx in pool.txs.values():
             for op in tx.inputs:
-                assert view.get(op) is not None
+                assert chain.utxo.get(op) is not None
                 assert op not in seen_ops
                 seen_ops.add(op)
 
@@ -824,10 +825,12 @@ class TestMempool:
         assert not Mempool().add(greedy, utxo)
 
     def test_add_matches_the_reference(self):
-        # the reference: new, no input spent in the pool, every input unspent
-        # in the view, and outputs summing to at most the inputs
+        # the reference: new, no input spent in the pool or named twice, every
+        # input unspent in the view, and outputs summing to at most the inputs
         def reference(pool, tx, utxo):
             if txid(tx) in pool.txs or any(op in pool.spent_outpoints for op in tx.inputs):
+                return False
+            if len(set(tx.inputs)) != len(tx.inputs):
                 return False
             entries = [utxo.get(op) for op in tx.inputs]
             if None in entries or sum(e[1] for e in entries) < sum(v for _, v in tx.outputs):
@@ -849,6 +852,41 @@ class TestMempool:
             assert list(pool.txs.items()) == list(expected.txs.items())
             assert list(pool.spent_outpoints.items()) == list(expected.spent_outpoints.items())
 
+    @staticmethod
+    def _block_admits(tx, utxo) -> bool:
+        """Whether a block holding only ``tx`` passes the block check over ``utxo``."""
+        genesis = Hash(bytes(32))
+        template = BlockTemplate(
+            prev_block_hash=genesis,
+            coinbase=CoinbaseTransaction(coinbase_address=Address(bytes(20)), reward=50),
+            transactions=(tx,),
+            difficulty_target=CompactTarget(0),
+        )
+        reason = validate_block_baseline(mine(template, MINE_BUDGET), ChainState(genesis, utxo))
+        assert reason in (Reason.OK, Reason.INVALID_TX)
+        return reason.accepted
+
+    def test_pool_admits_exactly_what_a_block_may_spend(self):
+        # one spend rule: a transaction enters an empty pool over a UTXO set
+        # exactly when a block holding only it may spend from that set
+        rng = random.Random(42)
+        op = (rand_hash(rng), 0)
+        # first the duplicate-input spend: one outpoint counted twice to pay out double
+        cases = [(Transaction(inputs=(op, op), outputs=((rand_address(rng), 20),)), {op: (rand_address(rng), 10)})]
+        for _ in range(400):
+            ops = [(rand_hash(rng), rng.randrange(2)) for _ in range(rng.randint(1, 4))]
+            utxo = {op: (rand_address(rng), rng.randint(0, 6)) for op in ops[1:]}  # ops[0] is unfunded
+            inputs = tuple(rng.choice(ops) for _ in range(rng.randint(1, 3)))  # repeats included
+            outputs = tuple((rand_address(rng), rng.randint(0, 6)) for _ in range(rng.randint(1, 3)))
+            cases.append((Transaction(inputs=inputs, outputs=outputs), utxo))
+        outcomes = set()
+        for tx, utxo in cases:
+            admitted = Mempool().add(tx, utxo)
+            assert admitted == self._block_admits(tx, utxo)
+            outcomes.add((admitted, len(set(tx.inputs)) < len(tx.inputs)))
+        assert not Mempool().add(*cases[0])
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
     def test_apply_block_removes_included_and_conflicting(self):
         rng = random.Random(37)
         bundle = advertised_block(rng, bits=0, ntx=3)
@@ -859,19 +897,6 @@ class TestMempool:
         bundle.mempool.insert_unchecked(conflictor)
         bundle.mempool.apply_block(bundle.block)
         assert len(bundle.mempool.txs) == 0
-
-    def test_head_is_the_pool_as_it_stood(self):
-        rng = random.Random(39)
-        utxo = {}
-        pool = Mempool()
-        states = [([], [])]
-        for _ in range(6):
-            assert pool.add(funded_tx(rng, utxo), utxo)
-            states.append((list(pool.txs.items()), list(pool.spent_outpoints.items())))
-        for n, (txs, spent) in enumerate(states):
-            head = pool.head(n)
-            assert (list(head.txs.items()), list(head.spent_outpoints.items())) == (txs, spent)
-        assert states[-1] == (list(pool.txs.items()), list(pool.spent_outpoints.items()))
 
     @staticmethod
     def _apply_block_two_pass(pool: Mempool, block) -> None:
