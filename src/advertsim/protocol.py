@@ -17,7 +17,7 @@ is known by its header hash.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from types import MappingProxyType
@@ -67,6 +67,7 @@ class Advert:
     coinbase_address: Address
     tx_hashes: tuple[Hash, ...]
     prev_block_hash: Hash
+    _key: tuple[Address, Hash] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coinbase_address", Address(self.coinbase_address))
@@ -74,18 +75,23 @@ class Advert:
         object.__setattr__(self, "prev_block_hash", Hash(self.prev_block_hash))
         if len(set(self.tx_hashes)) != len(self.tx_hashes):
             raise ValueError("advert transaction list contains duplicates")
+        object.__setattr__(self, "_key", (self.coinbase_address, self.prev_block_hash))
 
     def key(self) -> tuple[Address, Hash]:
-        return (self.coinbase_address, self.prev_block_hash)
+        """(coinbase address, previous block hash), built once: every node's
+        registry and pull ledger share this one tuple."""
+        return self._key
 
 
 def _pool_advert(address: Address, tx_hashes: tuple[Hash, ...], tip: Hash) -> Advert:
     """An ``Advert`` over pool keys, built without ``__post_init__``'s per-hash
     checks: pool keys are already distinct ``Hash`` objects. For ``make_advert``."""
     advert = object.__new__(Advert)
-    object.__setattr__(advert, "coinbase_address", Address(address))
+    address, tip = Address(address), Hash(tip)
+    object.__setattr__(advert, "coinbase_address", address)
     object.__setattr__(advert, "tx_hashes", tx_hashes)
-    object.__setattr__(advert, "prev_block_hash", Hash(tip))
+    object.__setattr__(advert, "prev_block_hash", tip)
+    object.__setattr__(advert, "_key", (address, tip))
     return advert
 
 

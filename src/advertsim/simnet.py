@@ -569,8 +569,10 @@ class _Node:
     # copies that ``seen`` drops.
     advert: Advert | None = None
     pool_at_start: int = 0  # BASELINE: the pool's size when the session began
-    # per advert key, (time, bytes) of the advert's first arrival, then of each
-    # pull made for it: the bytes that may count as post-find on the critical path
+    # per registered advert's key, (time, bytes) of its first arrival, then of
+    # each pull made for it: the bytes that may count as post-find on the
+    # critical path. Holds exactly the registry's keys: an entry opens when its
+    # advert registers and goes when _accept sees the registry evict it
     pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = field(default_factory=dict)
     req_map: dict[Hash, tuple[Address, Hash]] = field(default_factory=dict)
 
@@ -804,7 +806,7 @@ class _Sim:
         """
         links = node.neighbors.items() if to < 0 else ((to, node.neighbors[to]),)
         src = node.nid
-        t_send = self.now + self.proc
+        t_send = self.now + self.proc if self.proc else self.now  # at no delay, the clock's own float
         records = self.log.records
         heap = self.heap
         mid, seq = self.mid, self.seq
@@ -1005,10 +1007,8 @@ class _Sim:
 
     def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
-        pull_log = node.pull_log
-        if key not in pull_log:
-            pull_log[key] = [(self.now, sent.val)]
         if node.registry.register(advert):  # first arrival wins
+            node.pull_log[key] = [(self.now, sent.val)]
             missing = missing_txs(advert, node.tx_store)
             if missing:
                 self._request_txs(node, missing, sent.src, key)
@@ -1066,7 +1066,7 @@ class _Sim:
         if sent.msg == "seed":
             # advert and pull bytes that had to move after the block was found
             found = self.find_time[bh]
-            pb += sum(size for t, size in node.pull_log.get(key, ()) if t >= found)
+            pb += sum(size for t, size in node.pull_log[key] if t >= found)  # the advert is registered
         self._accept(node, block, bh, sent.oid, pb)
         # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
@@ -1085,7 +1085,9 @@ class _Sim:
             h = txid(tx)
             key = node.req_map.pop(h, None)
             if key is not None:
-                node.pull_log[key].append((self.now, float(tx.nominal_size_bytes)))
+                ledger = node.pull_log.get(key)
+                if ledger is not None:  # None: the advert was evicted while this pull was in flight
+                    ledger.append((self.now, float(tx.nominal_size_bytes)))
             if h not in node.tx_store:
                 self._relay_new_tx(node, tx, gossip_dedup_key(tx).short(), serialized_size(tx))
 
@@ -1104,7 +1106,7 @@ class _Sim:
         size = serialized_size(req)
         for h in outstanding:
             req_map[h] = key
-        # the advert's arrival opened this ledger: a pull needs the registered advert
+        # the advert's registration opened this ledger: a pull needs the registered advert
         node.pull_log[key].append((self.now + self.proc, float(size)))
         self._send(node, req, "txreq", "", 0.0, size, to=target)
 
@@ -1114,7 +1116,12 @@ class _Sim:
         the block it adds or nowhere, so both records carry ``oid``."""
         self.log.records.append(LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, oid, "", pb))
         chain = node.chain
-        if on_block_accepted(chain, node.mempool, node.registry, block).tip_changed:
+        registry = node.registry
+        outcome = on_block_accepted(chain, node.mempool, registry, block)
+        pull_log = node.pull_log
+        if len(pull_log) != len(registry.entries):  # evict_stale dropped adverts: drop their ledgers
+            node.pull_log = {key: pull_log[key] for key in registry.entries}
+        if outcome.tip_changed:
             self.log.records.append(
                 LogRecord(self.now, "tip_adopt", node.nid, -1, "", 0, -1, oid, "", float(chain.height))
             )

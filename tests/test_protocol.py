@@ -93,7 +93,10 @@ class TestMakeAdvert:
             assert advert == expected and hash(advert) == hash(expected)
             assert type(advert.coinbase_address) is Address and type(advert.prev_block_hash) is Hash
             assert type(advert.tx_hashes) is tuple and all(type(h) is Hash for h in advert.tx_hashes)
-            assert advert.key() == expected.key()
+            # one key per advert, built with it: every registry and ledger shares it
+            assert advert.key() == expected.key() == (address, tip)
+            assert advert.key() is advert.key() and expected.key() is expected.key()
+            assert type(advert.key()[0]) is Address and type(advert.key()[1]) is Hash
 
     def test_selection_matches_the_full_scan_reference(self):
         # the reference scans the whole prefix; make_advert stops once the

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advertsim.core import Transaction, block_hash, hash_bytes, serialized_size, txid
+from advertsim.core import Transaction, TxResponse, block_hash, hash_bytes, serialized_size, txid
 from advertsim.metrics import summarize
-from advertsim.protocol import Advert, make_advert as select_list
+from advertsim.protocol import Advert, AdvertRegistry, make_advert as select_list
 from advertsim.simnet import (
     FAUCET_ADDRESS,
     FAUCET_VALUE,
@@ -1247,6 +1247,7 @@ class _IndexCheckingSim(_Sim):
         super().__init__(sc)
         self.checks = 0
         self.evictions = 0
+        self.waited = 0  # tries after which some entry is parked
 
     @staticmethod
     def index_holds(node) -> bool:
@@ -1260,6 +1261,7 @@ class _IndexCheckingSim(_Sim):
         super()._try_seed(node, pend, pull)
         assert self.index_holds(node)
         self.checks += 1
+        self.waited += bool(node.waiting)
 
 
 class TestWakeIndex:
@@ -1276,5 +1278,70 @@ class TestWakeIndex:
         assert all(sim.index_holds(node) for node in sim.nodes)
         if buffer == 2:
             assert sim.evictions > 0
+        if strategy != "BASELINE_FULL_BLOCK":  # here no full block is still parked after a try
+            assert sim.waited > 0
         if strategy == "ADVERT_PROTOCOL":
+            # ROADMAP item 1's fix deletes this line: it needs that defect
             assert any(node.waiting for node in sim.nodes)  # stranded seeds still wait
+
+
+class _LedgerCheckingSim(_Sim):
+    """The simulator as shipped, checking after every acceptance that each
+    node's pull ledger holds exactly the keys of its advert registry."""
+
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
+        self.checks = 0
+
+    def _accept(self, node, block, bh, oid, pb):
+        super()._accept(node, block, bh, oid, pb)
+        assert node.pull_log.keys() == node.registry.entries.keys()
+        self.checks += 1
+
+
+class TestPullLedgerLivesWithItsAdvert:
+    """A node's pull ledger entry opens when its advert registers and goes in
+    the eviction that drops the advert."""
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_ledger_keys_are_the_registry_keys(self, strategy, monkeypatch):
+        evicted = []
+        real = AdvertRegistry.evict_stale
+
+        def counting(registry, heights, tip_height):
+            evicted.append(real(registry, heights, tip_height))
+            return evicted[-1]
+
+        monkeypatch.setattr(AdvertRegistry, "evict_stale", counting)
+        sim = _LedgerCheckingSim(_forky_cold(horizon_seconds=20.0, relay_strategy=strategy))
+        sim.run()
+        assert sim.checks > 0
+        if strategy == "BASELINE_FULL_BLOCK":  # registers no advert
+            assert not any(node.registry.entries for node in sim.nodes)
+        else:
+            assert sum(evicted) > 0
+
+    @pytest.mark.parametrize("strategy", ["ADVERT_PROTOCOL", "LATE_ADVERT"])
+    def test_registry_and_ledger_share_each_adverts_key(self, strategy):
+        sim = _Sim(_forky_cold(horizon_seconds=10.0, relay_strategy=strategy))
+        sim.run()
+        assert any(node.registry.entries for node in sim.nodes)
+        for node in sim.nodes:
+            assert all(key is advert.key() for key, advert in node.registry.entries.items())
+            assert {id(key) for key in node.pull_log} == {id(key) for key in node.registry.entries}
+
+    def test_response_for_a_key_evicted_mid_pull_leaves_the_ledger_alone(self):
+        # forky-cold seed 1 under ADVERT at 60 s: 2 of 18 keyed responses
+        # arrive after their advert was evicted
+        rng = random.Random(25)
+        sim = _Sim(_forky_cold(horizon_seconds=10.0))
+        node = sim.nodes[0]
+        live = Advert(coinbase_address=rand_address(rng), tx_hashes=(), prev_block_hash=rand_hash(rng))
+        node.registry.register(live)
+        node.pull_log[live.key()] = [(0.0, 100.0)]
+        tx = sim.workload.arrival(0)[0]
+        h = txid(tx)
+        node.req_map[h] = (rand_address(rng), rand_hash(rng))  # its advert is gone
+        sim._handle_tx_response(node, TxResponse((tx,)))
+        assert node.pull_log == {live.key(): [(0.0, 100.0)]}
+        assert h not in node.req_map and h in node.tx_store
