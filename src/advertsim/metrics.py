@@ -56,10 +56,12 @@ class _LogIndex:
         fam = sizes.bytes_by_family
         crit = sizes.critical_path_bytes
         for r in log.records:
+            if r.__class__ is int:  # a simulated delivery, as its send's mid
+                continue
             kind = r.kind
             if kind == "send":
                 fam[r.msg] = fam.get(r.msg, 0) + r.size
-            elif kind == "deliver":  # as common as send, and read by no metric
+            elif kind == "deliver":  # in a log read from a file; as common as send, and read by no metric
                 continue
             elif kind == "block_accept":
                 if r.val > crit.get(r.oid, -1.0):

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Iterator, NamedTuple, get_type_hints
 
 from .core import (
@@ -105,8 +106,10 @@ class Link:
     def delay(self, size: int) -> float:
         """Seconds for a message of ``size`` modelled bytes to cross the link.
 
-        The simulator's ``_send`` inlines this same expression, in this order,
-        so arrival times equal ``t_send + link.delay(size)`` bit for bit.
+        ``_Sim._send``, which queues each copy at its arrival time, and the
+        log writer, which rebuilds that time from the copy's send, inline
+        this same expression, in this order, so every arrival time equals
+        ``t_send + link.delay(size)`` bit for bit.
         """
         return self.latency + size / self.bandwidth
 
@@ -447,11 +450,39 @@ _new_record = tuple.__new__
 
 
 class EventLog:
-    """Append-only record stream, serializable to newline-delimited JSON."""
+    """Append-only record stream, serializable to newline-delimited JSON.
 
-    def __init__(self, meta: dict) -> None:
+    A simulated log holds its run's links (``links[src][dst]``, a node's
+    neighbour map) and each delivery as an int in ``records``: the ``mid``
+    of the ``send`` it arrives under, logged earlier. The ``deliver`` record
+    is that send's columns at the arrival time ``t + link.delay(size)``,
+    which this class alone recomputes, bit for bit the time the simulator
+    queued. Read records by iterating the log; ``records`` has one entry per
+    record. A log without links (read from a file, or built by hand) holds
+    records only.
+    """
+
+    def __init__(self, meta: dict, links: list[dict[int, Link]] | None = None) -> None:
         self.meta = meta
-        self.records: list[LogRecord] = []
+        self.links = links
+        self.records: list[LogRecord | int] = []
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        """Every record in log order, each delivery rebuilt from its send."""
+        links = self.links
+        if links is None:
+            yield from self.records
+            return
+        sent: dict[int, LogRecord] = {}  # the sends whose delivery is still ahead
+        for r in self.records:
+            if r.__class__ is int:
+                send = sent.pop(r)
+                delay = links[send.src][send.dst].delay(send.size)
+                yield _new_record(LogRecord, (send.t + delay, "deliver", *send[2:]))
+            else:
+                if r.kind == "send":
+                    sent[r.mid] = r
+                yield r
 
     def lines(self) -> Iterator[str]:
         for text in self._texts():
@@ -464,16 +495,27 @@ class EventLog:
         equal to the previous record's reuses its text, except zero, as
         0.0 == -0.0 but the two print differently. A ``size`` or ``val``
         that is the previous record's very object reuses its text too: a
-        flood's copies, and a deliver and its send, share both objects.
+        flood's copies share both objects. A delivery, an int entry, is
+        written as its arrival time and the text its send's line has after
+        the kind: the entry names that very send, so no column needs a check.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
+        links = self.links
+        sent: dict[int, tuple[float, str]] = {}  # by mid: a delivery ahead, its time and its send's tail
         t_last = t_text = size_text = val_text = None
         size_last = val_last = object()  # the first record's objects differ from it
         for i in range(0, len(records), _CHUNK_LINES):
             batch = records[i : i + _CHUNK_LINES]
             lines = []
-            for t, kind, src, dst, msg, size, mid, oid, ref, val in batch:
+            for r in batch:
+                if r.__class__ is int:
+                    t, tail = sent.pop(r)
+                    if t != t_last or not t:
+                        t_last, t_text = t, repr(t)
+                    lines.append(f'[{t_text},"deliver",{tail}')
+                    continue
+                t, kind, src, dst, msg, size, mid, oid, ref, val = r
                 if t != t_last or not t:
                     t_last, t_text = t, repr(t)
                 if size is not size_last:
@@ -483,13 +525,18 @@ class EventLog:
                 # each line exactly as _encode writes it: json prints ints and
                 # finite floats as their repr(), and the string columns are
                 # fixed words and hex ids, which need no escaping
-                lines.append(
-                    f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
-                )
+                tail = f'{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
+                if links is not None and kind == "send":
+                    link = links[src][dst]
+                    sent[mid] = (t + (link.latency + size / link.bandwidth), tail)  # Link.delay, inlined
+                lines.append(f'[{t_text},"{kind}",{tail}')
             text = "".join(lines)
             if "inf" in text or "nan" in text:
                 # a non-finite float: repr() spells it inf/nan, json Infinity/NaN.
-                # No fixed word or hex id contains either substring.
+                # No fixed word or hex id contains either substring. Simulated
+                # times and path bytes are finite, so a rebuilt chunk is rare.
+                if links is not None:
+                    batch = islice(self, i, i + _CHUNK_LINES)
                 text = "".join([_encode(r) + "\n" for r in batch])
             yield text
 
@@ -527,8 +574,8 @@ class EventLog:
 class _PendingSeed:
     """A relayed seed or full block on its way to acceptance; retried as prerequisites arrive.
 
-    ``sent`` is the deliver record it arrived under: sender, family, size,
-    id and path bytes, as its send record holds them. ``needs`` holds what
+    ``sent`` is the send record it arrived under: its sender, family,
+    size, id and path bytes are read, never its time. ``needs`` holds what
     its last try lacked, to be woken by: its advert key, the advertised
     transactions it could not resolve, or its parent's hash. Set it only
     through ``_Node.set_needs``, which keeps the node's ``waiting`` index in
@@ -715,7 +762,8 @@ def collector_paused() -> Iterator[None]:
 
     A run makes no reference cycles, so the collector frees nothing during
     it; but a log record is a tuple subclass, which CPython never untracks,
-    so each full collection would walk every record of the growing log.
+    so each full collection would walk every record the growing log holds
+    as a tuple: all but its deliveries, which it holds as ints.
     Pause for the log's whole lifetime (run, write, summarize, drop): a
     pause around the run alone moves a pass over every record to the
     caller. The exit collection frees whatever cycles the body did make;
@@ -783,7 +831,7 @@ class _Sim:
             "warm_txs": sc.initial_mempool_txs,
             "faucet_outputs": n_faucet,
         }
-        self.log = EventLog(meta)
+        self.log = EventLog(meta, [node.neighbors for node in self.nodes])
 
     # -- helpers ---------------------------------------------------------
 
@@ -799,10 +847,10 @@ class _Sim:
         neighbour but ``exclude``.
 
         ``size`` is its modelled size, computed once where the message was
-        made; ``cpb`` its critical-path bytes so far. Each copy gets a
-        ``send`` record, and the ``deliver`` record it will arrive under is
-        built with it: the send's columns at the arrival time. The copy is
-        queued as ``(arrival, seq, "deliver", deliver record, msg)``.
+        made; ``cpb`` its critical-path bytes so far. Each copy gets one
+        record, its ``send``, and is queued under it as ``(arrival, seq,
+        "deliver", send record, msg)``; the log rebuilds the ``deliver``
+        record from the send (see ``EventLog``).
         """
         links = node.neighbors.items() if to < 0 else ((to, node.neighbors[to]),)
         src = node.nid
@@ -814,10 +862,10 @@ class _Sim:
             if dst != exclude:
                 mid += 1
                 seq += 1
-                records.append(_new_record(LogRecord, (t_send, "send", src, dst, family, size, mid, oid, "", cpb)))
+                send = _new_record(LogRecord, (t_send, "send", src, dst, family, size, mid, oid, "", cpb))
+                records.append(send)
                 t = t_send + (link.latency + size / link.bandwidth)  # Link.delay, inlined
-                deliver = _new_record(LogRecord, (t, "deliver", src, dst, family, size, mid, oid, "", cpb))
-                heappush(heap, (t, seq, "deliver", deliver, msg))
+                heappush(heap, (t, seq, "deliver", send, msg))
         self.mid, self.seq = mid, seq
 
     # -- lifecycle -------------------------------------------------------
@@ -825,8 +873,10 @@ class _Sim:
     def run(self) -> EventLog:
         """Run every event up to the horizon and return the log.
 
-        A delivery pops as ``(arrival, seq, "deliver", deliver record, msg)``
-        and its record, built by ``_send``, is appended as it is.
+        A delivery pops as ``(arrival, seq, "deliver", send record, msg)``
+        and is logged as the send's ``mid``, from which the log rebuilds
+        its ``deliver`` record; a send still in flight at the horizon has
+        none.
         """
         sc = self.sc
         for node in self.nodes:
@@ -840,8 +890,8 @@ class _Sim:
         while heap and heap[0][0] <= horizon:
             t, _, kind, a, b = heappop(heap)
             self.now = t
-            if kind == "deliver":  # a: the deliver record, b: the message
-                records.append(a)
+            if kind == "deliver":  # a: the send record, b: the message
+                records.append(a.mid)
                 node = nodes[a.dst]
                 # only a node's first copy of gossip is handled; txreq and
                 # txresp carry the oid "", which no seen set holds
@@ -972,8 +1022,8 @@ class _Sim:
 
     def _on_deliver(self, node: _Node, sent: LogRecord, msg) -> None:
         """Handle ``msg`` at ``node``: a pull message, or the first copy of gossip.
-        ``sent`` is the ``deliver`` record it arrived under, which holds its
-        ``send`` record's columns but ``t`` and ``kind``."""
+        ``sent`` is the ``send`` record it arrived under; handlers read its
+        ``src``, ``msg``, ``size``, ``oid`` and ``val``, never its ``t``."""
         family, oid = sent.msg, sent.oid
         if family == "txreq":
             self._handle_tx_request(node, msg, sent.src)

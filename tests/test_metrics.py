@@ -183,7 +183,7 @@ class TestTwoNodeWasteExample:
 
     def test_baseline_waste_tracks_transfer_time(self):
         log = run_scenario(self._scenario("BASELINE_FULL_BLOCK"))
-        blocks = [r for r in log.records if r.kind == "block_found"]
+        blocks = [r for r in log if r.kind == "block_found"]
         assert len(blocks) >= 200
         w = wasted_hashpower(log)
         # analytic floor: 1.05028 s wasted per opposing find at mean 10 s
@@ -213,7 +213,7 @@ class TestReplayOracle:
         rate = stale_rate(log)
         # replay the log by hand: rebuild the tree, walk the best tip down
         finds = {}
-        for r in log.records:
+        for r in log:
             if r.kind == "block_found":
                 finds[r.oid] = (r.ref, int(r.val), r.t)
         assert finds
@@ -265,10 +265,10 @@ class TestReplayOracle:
         log = run_scenario(sc)
         assert stale_rate(log) > 0  # forks, so adoptions switch branches
         # reference: walk every adopted tip to genesis
-        parents = {r.oid: r.ref for r in log.records if r.kind == "block_found"}
+        parents = {r.oid: r.ref for r in log if r.kind == "block_found"}
         genesis = log.meta["genesis"]
         first, on_chain = {}, {}
-        for r in log.records:
+        for r in log:
             if r.kind == "tip_adopt":
                 have = on_chain.setdefault(r.src, set())
                 cur = r.oid
@@ -311,7 +311,7 @@ class TestSizeAccounting:
         log = run_scenario(sc)
         sizes = size_report(log)
         assert sizes.total_bytes == sum(sizes.bytes_by_family.values())
-        sent = sum(r.size for r in log.records if r.kind == "send")
+        sent = sum(r.size for r in log if r.kind == "send")
         assert sizes.total_bytes == sent
         assert set(sizes.bytes_by_family) <= {"advert", "seed", "block", "tx", "txreq", "txresp"}
 
@@ -335,7 +335,7 @@ class TestOutputs:
         write_block_csv(log, csv_path)
         write_summary_json(log, json_path)
         lines = csv_path.read_text().strip().splitlines()
-        n_blocks = sum(1 for r in log.records if r.kind == "block_found")
+        n_blocks = sum(1 for r in log if r.kind == "block_found")
         assert len(lines) == n_blocks + 1
         import json as j
 

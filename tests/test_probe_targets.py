@@ -4,6 +4,8 @@ A traced benchmark run otherwise fails with AttributeError after a rename.
 """
 
 import importlib.util
+import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,10 @@ def test_phase_timer_targets():
     # and _Sim.run for the event loop
     assert advertsim.cli.run_scenario is advertsim.simnet.run_scenario
     assert "run" in advertsim.simnet._Sim.__dict__
+    # the wrappers call run_scenario(scenario) and _Sim.run(sim), positionally
+    assert list(inspect.signature(advertsim.simnet.run_scenario).parameters) == ["scenario"]
+    assert list(inspect.signature(advertsim.simnet._Sim.run).parameters) == ["self"]
+    # and count a run's records as len(log.records): one entry per record line written
+    demo = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "two_node_demo.json").read_text())
+    log = advertsim.simnet.run_scenario(advertsim.simnet.Scenario.from_dict(demo))
+    assert len(log.records) == len(list(log.lines())) - 1 > 0  # the first line is the meta

@@ -285,13 +285,13 @@ class TestSingleNode:
             relay_strategy=RelayStrategy.ADVERT_PROTOCOL,
         )
         log = run_scenario(sc)
-        found = [r for r in log.records if r.kind == "block_found"]
-        accepts = [r for r in log.records if r.kind == "block_accept"]
+        found = [r for r in log if r.kind == "block_found"]
+        accepts = [r for r in log if r.kind == "block_accept"]
         assert len(found) > 0
         assert {r.oid for r in found} == {r.oid for r in accepts}
         by_oid = {r.oid: r.t for r in found}
         assert all(r.t == by_oid[r.oid] for r in accepts)
-        assert not [r for r in log.records if r.kind == "send"]
+        assert not [r for r in log if r.kind == "send"]
 
 
 class TestTwoNodeAdvert:
@@ -308,10 +308,10 @@ class TestTwoNodeAdvert:
             relay_strategy=RelayStrategy.ADVERT_PROTOCOL,
         )
         log = run_scenario(sc)
-        finds = [r for r in log.records if r.kind == "block_found"]
+        finds = [r for r in log if r.kind == "block_found"]
         assert finds
         accepts = {
-            (r.oid, r.src): r for r in log.records if r.kind == "block_accept"
+            (r.oid, r.src): r for r in log if r.kind == "block_accept"
         }
         for f in finds:
             remote = accepts.get((f.oid, 1))
@@ -320,7 +320,7 @@ class TestTwoNodeAdvert:
             assert remote.val == 300.0
             window = [
                 r
-                for r in log.records
+                for r in log
                 if r.kind == "send" and f.t <= r.t <= remote.t
             ]
             seed_sends = [r for r in window if r.msg == "seed"]
@@ -348,21 +348,21 @@ class TestLateAdvertRace:
             relay_strategy=RelayStrategy.LATE_ADVERT,
         )
         log = run_scenario(sc)
-        finds = [r for r in log.records if r.kind == "block_found"]
+        finds = [r for r in log if r.kind == "block_found"]
         assert finds
         f = finds[0]
         delivers = {
             r.msg: r.t
-            for r in log.records
+            for r in log
             if r.kind == "deliver" and r.dst == 1 and f.t <= r.t <= f.t + 1.0
         }
         accept_t = next(
-            r.t for r in log.records if r.kind == "block_accept" and r.src == 1 and r.oid == f.oid
+            r.t for r in log if r.kind == "block_accept" and r.src == 1 and r.oid == f.oid
         )
         assert delivers["seed"] < delivers["advert"]  # the race is real
         assert accept_t == delivers["advert"]  # resolved by the pending buffer
         pb = next(
-            r.val for r in log.records if r.kind == "block_accept" and r.src == 1 and r.oid == f.oid
+            r.val for r in log if r.kind == "block_accept" and r.src == 1 and r.oid == f.oid
         )
         advert_size = 8 + 20 + 32 + 32 * 20
         assert pb == advert_size + 300
@@ -389,7 +389,7 @@ class TestOwnAdvertFloods:
         floods = collections.Counter()
         sends = collections.Counter()
         events = collections.Counter()
-        for r in log.records:
+        for r in log:
             if r.kind == "send" and r.msg == "advert":
                 assert r.val >= r.size
                 if r.val == r.size:
@@ -450,8 +450,8 @@ class TestContentCheckedOncePerNetwork:
         data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
         data.update(horizon_seconds=20.0, relay_strategy=strategy)
         log = run_scenario(Scenario.from_dict(data))
-        found = sum(r.kind == "block_found" for r in log.records)
-        accepted = sum(r.kind == "block_accept" for r in log.records)
+        found = sum(r.kind == "block_found" for r in log)
+        accepted = sum(r.kind == "block_accept" for r in log)
         assert accepted > 4 * found  # most blocks are checked at many nodes
         assert len(calls) == 2 * found  # ``mine`` finds every block at its first extra nonce
 
@@ -466,7 +466,7 @@ class TestContentCheckedOncePerNetwork:
         data = json.loads(FORKY_COLD.read_text(encoding="utf-8"))
         data.update(horizon_seconds=20.0, relay_strategy=strategy)
         log = run_scenario(Scenario.from_dict(data))
-        found = sum(r.kind == "block_found" for r in log.records)
+        found = sum(r.kind == "block_found" for r in log)
         assert len(calls) == found
 
 
@@ -490,10 +490,10 @@ class TestConvergence:
         sim = _Sim(Scenario.from_dict(data))
         log = sim.run()
         cutoff = sim.sc.horizon_seconds - 10.0
-        early = [r.oid for r in log.records if r.kind == "block_found" and r.t < cutoff]
-        top = max(r.val for r in log.records if r.kind == "block_found")
+        early = [r.oid for r in log if r.kind == "block_found" and r.t < cutoff]
+        top = max(r.val for r in log if r.kind == "block_found")
         acceptors = collections.defaultdict(set)
-        for r in log.records:
+        for r in log:
             if r.kind == "block_accept":
                 acceptors[r.oid].add(r.src)
         stranded = [oid for oid in early if len(acceptors[oid]) < len(sim.nodes)]
@@ -523,7 +523,7 @@ class TestTipAdoptFollowsItsAccept:
 
         monkeypatch.setattr(simnet, "on_block_accepted", checking)
         log = run_scenario(_forky_cold(horizon_seconds=20.0, relay_strategy=strategy))
-        records = log.records
+        records = list(log)
         heights = {r.oid: r.val for r in records if r.kind == "block_found"}
         adopts = 0
         for i, r in enumerate(records):
@@ -563,10 +563,10 @@ class TestDeterminismAndCausality:
             sim = _Sim(sc)
             log = sim.run()
             # a send is stamped once the processing delay has passed
-            times = [r.t for r in log.records if r.kind != "send" or not sc.processing_delay_seconds]
+            times = [r.t for r in log if r.kind != "send" or not sc.processing_delay_seconds]
             assert times == sorted(times)
-            sends = {r.mid: r for r in log.records if r.kind == "send"}
-            delivers = [r for r in log.records if r.kind == "deliver"]
+            sends = {r.mid: r for r in log if r.kind == "send"}
+            delivers = [r for r in log if r.kind == "deliver"]
             assert delivers
             for d in delivers:
                 s = sends[d.mid]
@@ -581,8 +581,73 @@ class TestDeterminismAndCausality:
         log.write(path)
         back = EventLog.read(path)
         assert back.meta == log.meta
-        assert back.records == log.records
+        assert list(back) == list(log)
         assert back.sha256() == log.sha256()
+
+
+class _ArrivalSim(_Sim):
+    """Notes the clock, the heap key a copy popped under, at each handled delivery."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.handled = {}
+
+    def _on_deliver(self, node, sent, msg):
+        self.handled[sent.mid] = self.now
+        super()._on_deliver(node, sent, msg)
+
+
+class TestDeliveryRebuiltFromItsSend:
+    """A simulated log holds each delivery as its send's ``mid``. Iterating the
+    log rebuilds the ``deliver`` record: the send's columns at the time the
+    copy was queued for, ``t + link.delay(size)`` bit for bit."""
+
+    # forky-cold cut to 10 s, with no processing delay; and the pinned
+    # forky-cold-30s-delay case. Both pull (txreq, txresp) under ADVERT and
+    # leave copies in flight at the horizon
+    CASES = {
+        "no-delay": {"horizon_seconds": 10.0},
+        "delay": {
+            "horizon_seconds": 30.0,
+            "processing_delay_seconds": 0.01,
+            "link_bandwidth": {"kind": "constant", "value": 20_000},
+        },
+    }
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_each_delivery_is_its_send_at_the_arrival_time(self, case, strategy, tmp_path):
+        sc = _forky_cold(relay_strategy=strategy, **self.CASES[case])
+        sim = _ArrivalSim(sc)
+        log = sim.run()
+        records = list(log)
+        assert len(records) == len(log.records)
+        sends, delivers = {}, []
+        for r in records:
+            if r.kind == "send":
+                sends[r.mid] = r
+            elif r.kind == "deliver":
+                delivers.append(r)
+        assert len(delivers) == sum(type(e) is int for e in log.records) > 0
+        for d in delivers:
+            s = sends[d.mid]  # logged before its delivery
+            assert d[2:] == s[2:]  # every column but t and kind
+            assert d.t == s.t + sim.nodes[s.src].neighbors[s.dst].delay(s.size)
+        # the time each handled copy popped from the heap under
+        assert sim.handled and all(sim.handled[d.mid] == d.t for d in delivers if d.mid in sim.handled)
+        if strategy == "ADVERT_PROTOCOL":
+            assert {"txreq", "txresp"} <= {d.msg for d in delivers}
+        # a send still in flight at the horizon: one line, and no delivery
+        in_flight = sends.keys() - {d.mid for d in delivers}
+        assert in_flight
+        for mid in in_flight:
+            s = sends[mid]
+            assert s.t + sim.nodes[s.src].neighbors[s.dst].delay(s.size) > sc.horizon_seconds
+        path = tmp_path / "events.ndjson"
+        log.write(path)
+        written = collections.Counter(json.loads(line)[6] for line in list(log.lines())[1:])
+        assert all(written[mid] == 1 for mid in in_flight)
+        assert list(EventLog.read(path)) == records
 
 
 class TestNoReferenceCycles:
@@ -687,7 +752,7 @@ class TestLogFormat:
     def _assert_written_as_json(log: EventLog, tmp_path) -> None:
         lines = list(log.lines())
         assert lines[0] == json.dumps({"meta": log.meta}, sort_keys=True, separators=(",", ":"))
-        assert lines[1:] == [json.dumps(list(r), separators=(",", ":")) for r in log.records]
+        assert lines[1:] == [json.dumps(list(r), separators=(",", ":")) for r in log]
         data = "".join(line + "\n" for line in lines).encode()
         digest = hashlib.sha256(data).hexdigest()
         path = tmp_path / "events.ndjson"
@@ -756,6 +821,22 @@ class TestLogFormat:
         self._assert_written_as_json(log, tmp_path)
         assert json.dumps(bad) in list(log.lines())[701]
 
+    def test_non_finite_value_with_a_delivery_entry_matches_json(self, tmp_path):
+        # the chunk holding the inf goes through json, its delivery entry as
+        # the rebuilt record, not as the bare int it is held as
+        oid = "0123456789abcdef"
+        link = Link(0, 1, 0.05, 1_000_000.0)
+        log = EventLog({"schema": 1}, [{1: link}, {0: link}])
+        log.records.extend([
+            LogRecord(0.5, "send", 0, 1, "seed", 300, 7, oid, "", 300.0),
+            LogRecord(0.5, "block_accept", 0, -1, "", 0, -1, oid, "", float("inf")),
+            7,
+            LogRecord(0.6, "block_accept", 1, -1, "", 0, -1, oid, "", 300.0),
+        ])
+        self._assert_written_as_json(log, tmp_path)
+        deliver = json.loads(list(log.lines())[3])
+        assert deliver == [0.5 + link.delay(300), "deliver", 0, 1, "seed", 300, 7, oid, "", 300.0]
+
     @settings(max_examples=150, deadline=None)
     @given(_log_records())
     def test_any_records_match_json(self, records):
@@ -779,20 +860,20 @@ class TestFloodCompleteness:
             relay_strategy=RelayStrategy.ADVERT_PROTOCOL,
         )
         log = run_scenario(sc)
-        finds = [r for r in log.records if r.kind == "block_found" and r.t < 50.0]
+        finds = [r for r in log if r.kind == "block_found" and r.t < 50.0]
         assert finds
         accepts = {}
-        for r in log.records:
+        for r in log:
             if r.kind == "block_accept":
                 accepts.setdefault(r.oid, set()).add(r.src)
         for f in finds:
             assert accepts[f.oid] == set(range(8)), f"block {f.oid} did not reach everyone"
         # adverts flooded at t=0 reach all other nodes
         advert_delivery = {}
-        for r in log.records:
+        for r in log:
             if r.kind == "deliver" and r.msg == "advert":
                 advert_delivery.setdefault(r.oid, set()).add(r.dst)
-        t0_adverts = {r.oid for r in log.records if r.kind == "send" and r.msg == "advert" and r.t == 0.0}
+        t0_adverts = {r.oid for r in log if r.kind == "send" and r.msg == "advert" and r.t == 0.0}
         assert len(t0_adverts) == 8
         for oid in t0_adverts:
             assert len(advert_delivery[oid]) == 7 or len(advert_delivery[oid]) == 8
@@ -810,10 +891,10 @@ class TestFloodCompleteness:
             relay_strategy=RelayStrategy.BASELINE_FULL_BLOCK,
         )
         log = run_scenario(sc)
-        blocks = {r.oid for r in log.records if r.kind == "block_found"}
+        blocks = {r.oid for r in log if r.kind == "block_found"}
         tips = {}
         accepts = {}
-        for r in log.records:
+        for r in log:
             if r.kind == "tip_adopt":
                 tips[r.src] = r.oid
             elif r.kind == "block_accept":
@@ -911,7 +992,7 @@ class TestPendingSeedRetryOracle:
         if txs_unblock:
             assert ref.tx_advances > 0
         assert real.tries < ref.tries
-        accepts = collections.Counter((r.src, r.oid) for r in log.records if r.kind == "block_accept")
+        accepts = collections.Counter((r.src, r.oid) for r in log if r.kind == "block_accept")
         assert accepts and max(accepts.values()) == 1
 
 
@@ -944,7 +1025,7 @@ class TestFaucetMintedOnDemand:
         sim = _Sim(_mini(horizon_seconds=5.0))
         assert len(minted) == sim.sc.initial_mempool_txs == sim.faucet_next
         log = sim.run()
-        arrivals = sum(r.kind == "tx_arrival" for r in log.records)
+        arrivals = sum(r.kind == "tx_arrival" for r in log)
         assert arrivals > 0
         assert minted == [b"advertsim-faucet-tx:%d" % i for i in range(sim.sc.initial_mempool_txs + arrivals)]
         assert len(minted) < sim.n_faucet == log.meta["faucet_outputs"]
@@ -974,7 +1055,7 @@ class TestFaucetMintedOnDemand:
         sim = _Sim(_mini(horizon_seconds=25.0))
         sim.n_faucet = sim.faucet_next + 5
         log = sim.run()
-        assert sum(r.kind == "tx_arrival" for r in log.records) == 5
+        assert sum(r.kind == "tx_arrival" for r in log) == 5
         assert sim.faucet_next == sim.n_faucet
         # the meta line still reports the cap the scenario sizes
         assert log.meta["faucet_outputs"] == 40 + int(2.0 * 25.0 * 3) + 64
@@ -1134,7 +1215,7 @@ class TestWorkloadSharedPerKey:
         arrivals = set()
         for strategy in strategies:
             log = EventLog.read(tmp_path / "out" / "mini-compare" / strategy / "events.ndjson")
-            arrivals.update(r.oid for r in log.records if r.kind == "tx_arrival")
+            arrivals.update(r.oid for r in log if r.kind == "tx_arrival")
         ids = [txid(tx) for tx in built]
         assert len(ids) == len(set(ids)) == sc.initial_mempool_txs + len(arrivals)
         assert {h.short() for h in ids[sc.initial_mempool_txs :]} == arrivals
@@ -1150,7 +1231,7 @@ class TestWorkloadSharedPerKey:
         assert workload.arrivals == [] and workload.gap0 is None
         assert workload.rng.getstate() == random.Random(f"{sc.seed}/arrivals").getstate()
         log = sim.run()
-        assert len(workload.arrivals) == sum(r.kind == "tx_arrival" for r in log.records) > 0
+        assert len(workload.arrivals) == sum(r.kind == "tx_arrival" for r in log) > 0
 
     def test_runs_leave_the_cached_pool_unchanged(self):
         import advertsim.simnet as simnet
@@ -1213,7 +1294,7 @@ class TestBaselineListChosenAtFind:
         monkeypatch.setattr(simnet, "make_advert", counting)
         sim = _SessionListSim(_forky_cold(horizon_seconds=10.0, relay_strategy="BASELINE_FULL_BLOCK"))
         log = sim.run()
-        assert len(calls) == sum(r.kind == "block_found" for r in log.records) == len(sim.found) > 0
+        assert len(calls) == sum(r.kind == "block_found" for r in log) == len(sim.found) > 0
         blocks = {h.short(): rec[0] for h, rec in sim.nodes[0].chain.checked.items()}
         for oid, expected in sim.found:
             assert tuple(txid(tx) for tx in blocks[oid].transactions) == expected
@@ -1229,7 +1310,7 @@ class TestTemplateBuiltAtFind:
         headers = {h.short(): rec[0].header for h, rec in sim.nodes[0].chain.checked.items()}
         started = {}  # a session starts at t = 0 and at each tip change
         crossed = 0
-        for r in log.records:
+        for r in log:
             if r.kind == "tip_adopt":
                 started[r.src] = r.t
             elif r.kind == "block_found":
