@@ -616,12 +616,14 @@ class _Node:
     # copies that ``seen`` drops.
     advert: Advert | None = None
     pool_at_start: int = 0  # BASELINE: the pool's size when the session began
-    # per registered advert's key, (time, bytes) of its first arrival, then of
-    # each pull made for it: the bytes that may count as post-find on the
-    # critical path. Holds exactly the registry's keys: an entry opens when its
+    # per registered advert's key, its ledger: (time, bytes) of its first
+    # arrival, then of each pull request and answer made for it, the bytes that
+    # may count as post-find on the critical path. An entry opens when its
     # advert registers and goes when _accept sees the registry evict it
     pull_log: dict[tuple[Address, Hash], list[tuple[float, float]]] = field(default_factory=dict)
-    req_map: dict[Hash, tuple[Address, Hash]] = field(default_factory=dict)
+    # per requested txid, the ledger its answer is charged to; an evicted
+    # advert's ledger is unreachable and its key never registers again
+    req_map: dict[Hash, list[tuple[float, float]]] = field(default_factory=dict)
 
     def set_needs(self, pend: _PendingSeed, needs: tuple | frozenset) -> None:
         """Record what parked ``pend`` lacks, in it and in ``waiting``."""
@@ -1029,41 +1031,36 @@ class _Sim:
             self._handle_tx_request(node, msg, sent.src)
         elif family == "txresp":
             self._handle_tx_response(node, msg)
+        elif family == "tx":
+            self._relay_new_tx(node, msg, oid, sent.size, sent.src)
         else:
             node.seen.add(oid)
-            if family == "tx":
-                self._ingest_tx(node, msg)
-                self._send(node, msg, "tx", oid, 0.0, sent.size, sent.src)
-            elif family == "advert":
+            if family == "advert":
                 self._handle_advert(node, msg, sent)
                 self._send(node, msg, "advert", oid, sent.val + sent.size, sent.size, sent.src)
             else:
                 self._handle_relayed_block(node, msg, sent)
 
-    def _ingest_tx(self, node: _Node, tx: Transaction) -> None:
+    def _relay_new_tx(self, node: _Node, tx: Transaction, oid: str, size: int, exclude: int = -1) -> None:
+        """Take in and flood, to all but ``exclude``, a faucet arrival, a first gossip copy
+        or a pull answer new to ``node``, given its gossip oid and wire size. The
+        caller has decided it is new: ``seen`` holds the oid of every non-warm
+        transaction in ``tx_store``, and no node gossips a warm one."""
         h = txid(tx)
-        if h not in node.tx_store:
-            node.tx_store[h] = tx
-            node.mempool.add(tx, node.chain.utxo)
-            self._wake(node, h)
-
-    def _relay_new_tx(self, node: _Node, tx: Transaction, oid: str, size: int) -> None:
-        """Ingest and flood a faucet arrival or a pulled transaction new to ``node``,
-        given its gossip oid and wire size (a faucet arrival retries no seed: no
-        advert can name it yet)."""
         node.seen.add(oid)
-        self._ingest_tx(node, tx)
-        self._send(node, tx, "tx", oid, 0.0, size)
+        node.tx_store[h] = tx
+        node.mempool.add(tx, node.chain.utxo)
+        self._wake(node, h)
+        self._send(node, tx, "tx", oid, 0.0, size, exclude)
 
     def _handle_advert(self, node: _Node, advert: Advert, sent: LogRecord) -> None:
         key = advert.key()
         if node.registry.register(advert):  # first arrival wins
-            node.pull_log[key] = [(self.now, sent.val)]
+            ledger = node.pull_log[key] = [(self.now, sent.val)]
             missing = missing_txs(advert, node.tx_store)
             if missing:
-                self._request_txs(node, missing, sent.src, key)
-        # the seed sender already validated the block; pull stragglers from it
-        self._wake(node, key, pull=True)
+                self._request_txs(node, missing, sent.src, ledger)
+        self._wake(node, key)
 
     def _handle_relayed_block(self, node: _Node, msg: BlockSeed | Block, sent: LogRecord) -> None:
         # the oid is the block hash, and a node marks it seen before accepting
@@ -1075,17 +1072,19 @@ class _Sim:
             if len(pending) >= self.sc.pending_seed_buffer:
                 node.unpark(next(iter(pending)))  # FIFO eviction
             pending[header_hash(msg.header)] = pend
-        self._try_seed(node, pend, pull=True)
+        self._try_seed(node, pend)
 
-    def _wake(self, node: _Node, arrived: Hash | tuple[Address, Hash], pull: bool = False) -> None:
-        """Retry, in parking order, every parked entry whose last try lacked ``arrived``:
-        an advert key, a transaction id or a block hash."""
+    def _wake(self, node: _Node, arrived: Hash | tuple[Address, Hash]) -> None:
+        """Retry, in parking order, every parked entry whose last try lacked ``arrived``
+        (an advert key, a transaction id or a block hash); each try decides whether to pull."""
         if arrived in node.waiting:
             for pend in [p for p in node.pending.values() if arrived in p.needs]:
-                self._try_seed(node, pend, pull)
+                self._try_seed(node, pend)
 
-    def _try_seed(self, node: _Node, pend: _PendingSeed, pull: bool) -> None:
-        """Validate, accept and forward a relayed seed or full block as far as knowledge allows."""
+    def _try_seed(self, node: _Node, pend: _PendingSeed) -> None:
+        """Validate, accept and forward a relayed seed or full block as far as knowledge allows.
+        A seed lacking advertised transactions pulls them from its sender, which
+        validated the block, unless its last try lacked transactions too."""
         msg = pend.msg
         sent = pend.sent
         header = msg.header
@@ -1097,9 +1096,9 @@ class _Sim:
             rec = reconstruct_block(msg, node.registry, node.tx_store)
             if not rec.ok:
                 if rec.missing:
+                    if type(pend.needs) is not frozenset:  # not asked yet: a first try, or its advert woke it
+                        self._request_txs(node, rec.missing, sent.src, node.pull_log[key], force=True)
                     node.set_needs(pend, frozenset(rec.missing))
-                    if pull:  # the seed sender validated the block, so it has every tx
-                        self._request_txs(node, rec.missing, sent.src, key, force=True)
                 else:
                     node.set_needs(pend, (key,))
                 return
@@ -1131,21 +1130,21 @@ class _Sim:
             self._send(node, resp, "txresp", "", 0.0, size, to=requester)
 
     def _handle_tx_response(self, node: _Node, resp: TxResponse) -> None:
+        """Charge each answer to its request's ledger; take in what ``node`` lacks."""
         for tx in resp.txs:
             h = txid(tx)
-            key = node.req_map.pop(h, None)
-            if key is not None:
-                ledger = node.pull_log.get(key)
-                if ledger is not None:  # None: the advert was evicted while this pull was in flight
-                    ledger.append((self.now, float(tx.nominal_size_bytes)))
+            ledger = node.req_map.pop(h, None)
+            if ledger is not None:
+                ledger.append((self.now, float(tx.nominal_size_bytes)))
             if h not in node.tx_store:
                 self._relay_new_tx(node, tx, gossip_dedup_key(tx).short(), serialized_size(tx))
 
     def _request_txs(
-        self, node: _Node, missing: list[Hash] | tuple[Hash, ...], target: int, key, force: bool = False
+        self, node: _Node, missing: list[Hash] | tuple[Hash, ...], target: int, ledger: list, force: bool = False
     ) -> None:
-        """Pull ``missing`` (not empty) from ``target``; unless ``force``, only
-        the hashes no earlier request asked for."""
+        """Pull ``missing`` (not empty) from ``target``, charging the request and
+        its answers to ``ledger``; unless ``force``, only the hashes no earlier
+        request asked for."""
         req_map = node.req_map
         outstanding = missing
         if not force and not req_map.keys().isdisjoint(missing):
@@ -1155,9 +1154,8 @@ class _Sim:
         req = TxRequest(tuple(outstanding))
         size = serialized_size(req)
         for h in outstanding:
-            req_map[h] = key
-        # the advert's registration opened this ledger: a pull needs the registered advert
-        node.pull_log[key].append((self.now + self.proc, float(size)))
+            req_map[h] = ledger
+        ledger.append((self.now + self.proc, float(size)))
         self._send(node, req, "txreq", "", 0.0, size, to=target)
 
     def _accept(self, node: _Node, block: Block, bh: Hash, oid: str, pb: float) -> None:

@@ -87,6 +87,29 @@ CASES = {
             "LATE_ADVERT/events.ndjson": "4c2a9718bcec1a2092989c6bdc654182f56089456594a356ab8c23c754e361ae",
         },
     ),
+    # the same workload on 2 kB/s links: transactions lag adverts and seeds,
+    # so a seed's first try finds advertised transactions missing and asks
+    # its sender for them, under ADVERT as well as LATE
+    "forky-cold-30s-thin": (
+        REPO_ROOT / "perfbench" / "workloads" / "forky-cold.json",
+        1,
+        {
+            "horizon_seconds": 30.0,
+            "link_bandwidth": {"kind": "constant", "value": 2_000},
+        },
+        {
+            "comparison.json": "a2d04075af4de71ab9836b9d5d37be520a1628fd718cc75794188d6f0e1dc486",
+            "BASELINE_FULL_BLOCK/summary.json": "bd6157f832deeed6338ba7dbd5f0ce3a9a84584e35c264ad83b4bd3d483019ee",
+            "BASELINE_FULL_BLOCK/blocks.csv": "f93cd0926900d2dc1774e93d208b76913515807d252d4b19718bddb1d892e9cf",
+            "ADVERT_PROTOCOL/summary.json": "ab3ddaa65442960fa18deb1a5e8c3dc75906c2d0e66bf24c2ab0dca357109c3b",
+            "ADVERT_PROTOCOL/blocks.csv": "2d220ff393faf54c952132470cfe737b23e6d56e2863c479e77dfd40860f35a5",
+            "LATE_ADVERT/summary.json": "2547c54edc234f5dae6575db19f462b68f483b6a27b34177d974ec636314dc50",
+            "LATE_ADVERT/blocks.csv": "d208896b751331caeeb77c0408f3edce1a81ac43340a531b14fc46ebdb906d0c",
+            "BASELINE_FULL_BLOCK/events.ndjson": "7ebea7130262e39694ee9ae86916913b51783acd232882891b6d721587310a9f",
+            "ADVERT_PROTOCOL/events.ndjson": "6646ec099a6ef9d44a116fdf3be7bb50a588d74ccece9f4574b2e09adc4197ff",
+            "LATE_ADVERT/events.ndjson": "dff3af6f85a0e098ef31303c5f0e91ac5f5cd926692356082420938fdd52f3af",
+        },
+    ),
     # the benchmark's forky workload (read only), cut to 10 s: large blocks with forks
     "forky-10s": (
         REPO_ROOT / "perfbench" / "workloads" / "forky.json",
