@@ -430,12 +430,15 @@ class LogRecord(NamedTuple):
     The log writer relies on the column types: ``t`` and ``val`` hold
     floats; ``src``, ``dst``, ``size`` and ``mid`` hold ints, never bools;
     the string columns hold fixed words and hex ids, which need no escaping.
+    A simulated log holds a flood's sends as one record whose ``dst`` is the
+    tuple of its destinations and whose ``mid`` is its first copy's (see
+    ``EventLog``); iterating the log yields one record per copy, with ints.
     """
 
     t: float
     kind: str  # meta|send|deliver|tx_arrival|block_found|block_accept|tip_adopt
     src: int
-    dst: int
+    dst: int  # held by a simulated log's flood as tuple[int, ...]
     msg: str  # message family for send/deliver
     size: int
     mid: int  # message instance id, send/deliver pairs share it
@@ -453,13 +456,21 @@ class EventLog:
     """Append-only record stream, serializable to newline-delimited JSON.
 
     A simulated log holds its run's links (``links[src][dst]``, a node's
-    neighbour map) and each delivery as an int in ``records``: the ``mid``
-    of the ``send`` it arrives under, logged earlier. The ``deliver`` record
-    is that send's columns at the arrival time ``t + link.delay(size)``,
-    which this class alone recomputes, bit for bit the time the simulator
-    queued. Read records by iterating the log; ``records`` has one entry per
-    record. A log without links (read from a file, or built by hand) holds
-    records only.
+    neighbour map) and its records in a held form:
+
+    * a flood, the copies one ``_Sim._send`` call sends, is one ``send``
+      record, entered in ``records`` once per copy and back to back. Its
+      ``dst`` is the tuple of destinations, ascending, and its ``mid`` the
+      first copy's; copy *k* goes to ``dst[k]`` under ``mid + k``. Every other
+      column is the copies' own;
+    * a delivery is an int: the ``mid`` of the copy it arrives as, logged
+      earlier. The ``deliver`` record is that copy's ``send`` at the arrival
+      time ``t + link.delay(size)``, which this class alone recomputes, bit
+      for bit the time the simulator queued.
+
+    Read records by iterating the log, which expands both; ``records`` has
+    one entry per record. A log without links (read from a file, or built
+    by hand) holds one plain record per entry.
     """
 
     def __init__(self, meta: dict, links: list[dict[int, Link]] | None = None) -> None:
@@ -468,21 +479,30 @@ class EventLog:
         self.records: list[LogRecord | int] = []
 
     def __iter__(self) -> Iterator[LogRecord]:
-        """Every record in log order, each delivery rebuilt from its send."""
+        """Every record in log order: each copy of a flood as its own send, each
+        delivery rebuilt from its copy's send."""
         links = self.links
         if links is None:
             yield from self.records
             return
-        sent: dict[int, LogRecord] = {}  # the sends whose delivery is still ahead
+        sent: dict[int, LogRecord] = {}  # the copies whose delivery is still ahead
+        flood = None
         for r in self.records:
             if r.__class__ is int:
                 send = sent.pop(r)
                 delay = links[send.src][send.dst].delay(send.size)
                 yield _new_record(LogRecord, (send.t + delay, "deliver", *send[2:]))
+                continue
+            if r is flood:  # its next copy
+                k += 1
+            elif r.kind == "send":
+                flood, k = r, 0
             else:
-                if r.kind == "send":
-                    sent[r.mid] = r
                 yield r
+                continue
+            t, kind, src, dsts, msg, size, mid, oid, ref, val = r
+            send = sent[mid + k] = _new_record(LogRecord, (t, kind, src, dsts[k], msg, size, mid + k, oid, ref, val))
+            yield send
 
     def lines(self) -> Iterator[str]:
         for text in self._texts():
@@ -494,10 +514,12 @@ class EventLog:
         Bounded pieces keep peak memory at one piece, not one log. A time
         equal to the previous record's reuses its text, except zero, as
         0.0 == -0.0 but the two print differently. A ``size`` or ``val``
-        that is the previous record's very object reuses its text too: a
-        flood's copies share both objects. A delivery, an int entry, is
-        written as its arrival time and the text its send's line has after
-        the kind: the entry names that very send, so no column needs a check.
+        that is the previous record's very object reuses its text too. A
+        simulated flood's first copy formats the columns every copy shares
+        once; its later copies, the same record object, add only their
+        ``dst`` and ``mid``. A delivery, an int entry, is written as its
+        arrival time and the text its copy's line has after the kind: the
+        entry names that very copy, so no column needs a check.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
@@ -505,15 +527,31 @@ class EventLog:
         sent: dict[int, tuple[float, str]] = {}  # by mid: a delivery ahead, its time and its send's tail
         t_last = t_text = size_text = val_text = None
         size_last = val_last = object()  # the first record's objects differ from it
+        flood = None  # the simulated send record whose copies are being written
         for i in range(0, len(records), _CHUNK_LINES):
             batch = records[i : i + _CHUNK_LINES]
             lines = []
             for r in batch:
                 if r.__class__ is int:
-                    t, tail = sent.pop(r)
-                    if t != t_last or not t:
-                        t_last, t_text = t, repr(t)
+                    t_arrival, tail = sent.pop(r)
+                    if t_arrival != t_last or not t_arrival:
+                        t_last, t_text = t_arrival, repr(t_arrival)
                     lines.append(f'[{t_text},"deliver",{tail}')
+                    continue
+                if r is flood:  # a later copy: the record's identity proves every other column equal
+                    k += 1
+                    if k == 1:  # the text the later copies share, made once a flood has one
+                        head = f'[{t_text},"send",'
+                        src_text = f"{src!r},"
+                        middle = f',"{msg}",{size_text},'
+                        end = f',"{oid}","{ref}",{val_text}]\n'
+                        nbrs = links[src]
+                    dst = dsts[k]
+                    m = mid + k
+                    tail = f"{src_text}{dst!r}{middle}{m!r}{end}"
+                    link = nbrs[dst]
+                    sent[m] = (t + (link.latency + size / link.bandwidth), tail)  # Link.delay, inlined
+                    lines.append(head + tail)
                     continue
                 t, kind, src, dst, msg, size, mid, oid, ref, val = r
                 if t != t_last or not t:
@@ -525,11 +563,17 @@ class EventLog:
                 # each line exactly as _encode writes it: json prints ints and
                 # finite floats as their repr(), and the string columns are
                 # fixed words and hex ids, which need no escaping
-                tail = f'{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
-                if links is not None and kind == "send":
+                if links is not None and kind == "send":  # a flood's first copy
+                    flood, dsts, k = r, dst, 0
+                    dst = dst[0]
+                    tail = f'{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
                     link = links[src][dst]
                     sent[mid] = (t + (link.latency + size / link.bandwidth), tail)  # Link.delay, inlined
-                lines.append(f'[{t_text},"{kind}",{tail}')
+                    lines.append(f'[{t_text},"send",{tail}')
+                else:
+                    lines.append(
+                        f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
+                    )
             text = "".join(lines)
             if "inf" in text or "nan" in text:
                 # a non-finite float: repr() spells it inf/nan, json Infinity/NaN.
@@ -574,12 +618,12 @@ class EventLog:
 class _PendingSeed:
     """A relayed seed or full block on its way to acceptance; retried as prerequisites arrive.
 
-    ``sent`` is the send record it arrived under: its sender, family,
-    size, id and path bytes are read, never its time. ``needs`` holds what
-    its last try lacked, to be woken by: its advert key, the advertised
-    transactions it could not resolve, or its parent's hash. Set it only
-    through ``_Node.set_needs``, which keeps the node's ``waiting`` index in
-    step.
+    ``sent`` is the send record of the flood it arrived in: its sender,
+    family, size, id and path bytes are read, never its time, destinations
+    or ``mid``. ``needs`` holds what its last try lacked, to be woken by:
+    its advert key, the advertised transactions it could not resolve, or
+    its parent's hash. Set it only through ``_Node.set_needs``, which keeps
+    the node's ``waiting`` index in step.
     """
 
     msg: BlockSeed | Block  # as relayed
@@ -597,6 +641,10 @@ class _Node:
     mining_rng: random.Random
     registry: AdvertRegistry = field(default_factory=AdvertRegistry)
     neighbors: dict[int, Link] = field(default_factory=dict)  # by ascending neighbour id
+    # per excluded neighbour (-1: none), the ascending ids a flood goes to: the
+    # dst every such send record shares. Built at the first such flood, as
+    # rows built at set-up cost more set-up time than the run saves
+    flood_dsts: dict[int, tuple[int, ...]] = field(default_factory=dict)
     tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
     seen: set[str] = field(default_factory=set)
     pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
@@ -838,7 +886,7 @@ class _Sim:
     # -- helpers ---------------------------------------------------------
 
     def _schedule(self, t: float, kind: str, a=None, b=None) -> None:
-        """Queue a ``found`` or ``tx_arrival`` event; ``_send`` queues deliveries."""
+        """Queue a ``found`` or ``tx_arrival`` event; ``_send`` queues copies."""
         self.seq += 1
         heappush(self.heap, (t, self.seq, kind, a, b))
 
@@ -849,36 +897,46 @@ class _Sim:
         neighbour but ``exclude``.
 
         ``size`` is its modelled size, computed once where the message was
-        made; ``cpb`` its critical-path bytes so far. Each copy gets one
-        record, its ``send``, and is queued under it as ``(arrival, seq,
-        "deliver", send record, msg)``; the log rebuilds the ``deliver``
-        record from the send (see ``EventLog``).
+        made; ``cpb`` its critical-path bytes so far. The copies share one
+        ``send`` record, the flood's (see ``EventLog``), logged once per copy.
+        Copy *k* is queued as ``(arrival, seq, mid, record, msg)`` under its
+        own ``mid``, ``record.mid + k``; the first copy's is the record's very
+        int, which its delivery entry then shares.
         """
-        links = node.neighbors.items() if to < 0 else ((to, node.neighbors[to]),)
-        src = node.nid
+        neighbors = node.neighbors
+        if to >= 0:
+            dsts = (to,)
+        else:
+            dsts = node.flood_dsts.get(exclude)
+            if dsts is None:
+                dsts = node.flood_dsts[exclude] = tuple(d for d in neighbors if d != exclude)
+            if not dsts:
+                return
         t_send = self.now + self.proc if self.proc else self.now  # at no delay, the clock's own float
-        records = self.log.records
+        mid = self.mid + 1
+        send = _new_record(LogRecord, (t_send, "send", node.nid, dsts, family, size, mid, oid, "", cpb))
+        append = self.log.records.append
         heap = self.heap
-        mid, seq = self.mid, self.seq
-        for dst, link in links:
-            if dst != exclude:
-                mid += 1
-                seq += 1
-                send = _new_record(LogRecord, (t_send, "send", src, dst, family, size, mid, oid, "", cpb))
-                records.append(send)
-                t = t_send + (link.latency + size / link.bandwidth)  # Link.delay, inlined
-                heappush(heap, (t, seq, "deliver", send, msg))
-        self.mid, self.seq = mid, seq
+        seq = self.seq
+        for dst in dsts:
+            append(send)
+            link = neighbors[dst]
+            seq += 1
+            t = t_send + (link.latency + size / link.bandwidth)  # Link.delay, inlined
+            heappush(heap, (t, seq, mid, send, msg))
+            mid += 1
+        self.mid, self.seq = mid - 1, seq
 
     # -- lifecycle -------------------------------------------------------
 
     def run(self) -> EventLog:
         """Run every event up to the horizon and return the log.
 
-        A delivery pops as ``(arrival, seq, "deliver", send record, msg)``
-        and is logged as the send's ``mid``, from which the log rebuilds
-        its ``deliver`` record; a send still in flight at the horizon has
-        none.
+        A copy pops as ``(arrival, seq, mid, flood's send record, msg)``, the
+        only heap entry keyed by an int, and goes to the node at
+        ``record.dst[mid - record.mid]``. It is logged as its ``mid``, from
+        which the log rebuilds its ``deliver`` record; a copy still in
+        flight at the horizon has none.
         """
         sc = self.sc
         for node in self.nodes:
@@ -892,9 +950,9 @@ class _Sim:
         while heap and heap[0][0] <= horizon:
             t, _, kind, a, b = heappop(heap)
             self.now = t
-            if kind == "deliver":  # a: the send record, b: the message
-                records.append(a.mid)
-                node = nodes[a.dst]
+            if kind.__class__ is int:  # a copy: kind its mid, a its flood's send record, b the message
+                records.append(kind)
+                node = nodes[a.dst[kind - a.mid]]
                 # only a node's first copy of gossip is handled; txreq and
                 # txresp carry the oid "", which no seen set holds
                 if a.oid not in node.seen:
@@ -1024,8 +1082,9 @@ class _Sim:
 
     def _on_deliver(self, node: _Node, sent: LogRecord, msg) -> None:
         """Handle ``msg`` at ``node``: a pull message, or the first copy of gossip.
-        ``sent`` is the ``send`` record it arrived under; handlers read its
-        ``src``, ``msg``, ``size``, ``oid`` and ``val``, never its ``t``."""
+        ``sent`` is the ``send`` record of the flood it arrived in; handlers
+        read its ``src``, ``msg``, ``size``, ``oid`` and ``val``, never its
+        ``t``, nor its ``dst`` and ``mid``, which are the whole flood's."""
         family, oid = sent.msg, sent.oid
         if family == "txreq":
             self._handle_tx_request(node, msg, sent.src)

@@ -586,14 +586,16 @@ class TestDeterminismAndCausality:
 
 
 class _ArrivalSim(_Sim):
-    """Notes the clock, the heap key a copy popped under, at each handled delivery."""
+    """Notes the clock, the heap key a copy popped under, at each handled delivery,
+    by the copy's own id: its flood's first id plus the node's place among the
+    flood's destinations."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.handled = {}
 
     def _on_deliver(self, node, sent, msg):
-        self.handled[sent.mid] = self.now
+        self.handled[sent.mid + sent.dst.index(node.nid)] = self.now
         super()._on_deliver(node, sent, msg)
 
 
@@ -647,6 +649,74 @@ class TestDeliveryRebuiltFromItsSend:
         log.write(path)
         written = collections.Counter(json.loads(line)[6] for line in list(log.lines())[1:])
         assert all(written[mid] == 1 for mid in in_flight)
+        assert list(EventLog.read(path)) == records
+
+
+class _FloodNotingSim(_Sim):
+    """Notes each ``_send`` call that sends copies: where its entries start in
+    ``log.records``, how many it adds, and whom it sends to."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.floods = []
+
+    def _send(self, node, msg, family, oid, cpb, size, exclude=-1, to=-1):
+        start = len(self.log.records)
+        super()._send(node, msg, family, oid, cpb, size, exclude, to)
+        count = len(self.log.records) - start
+        if count:
+            self.floods.append((start, count, node, exclude, to))
+
+
+class TestFloodHeldOnce:
+    """A simulated log holds the copies of one ``_send`` call as one ``send``
+    record, entered once per copy and back to back; iterating or writing
+    the log gives each copy its own destination and id."""
+
+    # forky-cold cut to 10 s; and the pinned forky-cold-30s-thin case, where
+    # seeds pull from their senders: each txreq and txresp is a flood of one
+    CASES = {
+        "10s": {"horizon_seconds": 10.0},
+        "thin": {"horizon_seconds": 30.0, "link_bandwidth": {"kind": "constant", "value": 2_000}},
+    }
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_record_per_send_call(self, case, strategy, tmp_path):
+        sim = _FloodNotingSim(_forky_cold(relay_strategy=strategy, **self.CASES[case]))
+        log = sim.run()
+        entries = log.records
+        records = list(log)
+        assert len(records) == len(entries)
+        assert sum(count for _, count, *_ in sim.floods) == sum(r.kind == "send" for r in records)
+        firsts = {}
+        for start, count, node, exclude, to in sim.floods:
+            held = entries[start]
+            # one object, once per copy and back to back
+            assert all(e is held for e in entries[start : start + count])
+            before = entries[start - 1] if start else None
+            after = entries[start + count] if start + count < len(entries) else None
+            assert before is not held and after is not held
+            copies = records[start : start + count]
+            dsts = [r.dst for r in copies]
+            if to >= 0:
+                assert dsts == [to]
+            else:
+                assert dsts == sorted(dsts) and exclude not in dsts
+                assert dsts == [d for d in node.neighbors if d != exclude]
+            assert [r.mid for r in copies] == list(range(held.mid, held.mid + count))
+            for r in copies:
+                assert r.src == node.nid
+                assert r[:3] == held[:3] and r[4:6] == held[4:6] and r[7:] == held[7:]
+            firsts[held.mid] = held
+        # the delivery of a flood's first copy holds the record's own int
+        assert all(e is firsts[e].mid for e in entries if type(e) is int and e in firsts)
+        if strategy == "ADVERT_PROTOCOL" or (case == "thin" and strategy == "LATE_ADVERT"):
+            assert any(to >= 0 for *_, to in sim.floods)  # pulls ran
+        path = tmp_path / "events.ndjson"
+        log.write(path)
+        with open(path, encoding="utf-8") as f:
+            assert len(entries) == sum(1 for _ in f) - 1  # the first line is the meta
         assert list(EventLog.read(path)) == records
 
 
@@ -823,12 +893,13 @@ class TestLogFormat:
 
     def test_non_finite_value_with_a_delivery_entry_matches_json(self, tmp_path):
         # the chunk holding the inf goes through json, its delivery entry as
-        # the rebuilt record, not as the bare int it is held as
+        # the rebuilt record, not as the bare int it is held as. A simulated
+        # log holds a send as its flood's record, here a flood of one copy
         oid = "0123456789abcdef"
         link = Link(0, 1, 0.05, 1_000_000.0)
         log = EventLog({"schema": 1}, [{1: link}, {0: link}])
         log.records.extend([
-            LogRecord(0.5, "send", 0, 1, "seed", 300, 7, oid, "", 300.0),
+            LogRecord(0.5, "send", 0, (1,), "seed", 300, 7, oid, "", 300.0),
             LogRecord(0.5, "block_accept", 0, -1, "", 0, -1, oid, "", float("inf")),
             7,
             LogRecord(0.6, "block_accept", 1, -1, "", 0, -1, oid, "", 300.0),
