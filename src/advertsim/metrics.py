@@ -55,12 +55,17 @@ class _LogIndex:
         sizes = SizeStats()
         fam = sizes.bytes_by_family
         crit = sizes.critical_path_bytes
+        flood = None
         for r in log.records:
-            if r.__class__ is int:  # a simulated delivery, as its send's mid
+            if r.__class__ is int or r is flood:  # a simulated delivery, or a held flood's later copy
                 continue
             kind = r.kind
             if kind == "send":
-                fam[r.msg] = fam.get(r.msg, 0) + r.size
+                if r.dst.__class__ is tuple:  # a held flood: all its copies' bytes at its first entry
+                    flood = r
+                    fam[r.msg] = fam.get(r.msg, 0) + r.size * len(r.dst)
+                else:
+                    fam[r.msg] = fam.get(r.msg, 0) + r.size
             elif kind == "deliver":  # in a log read from a file; as common as send, and read by no metric
                 continue
             elif kind == "block_accept":

@@ -431,8 +431,9 @@ class LogRecord(NamedTuple):
     floats; ``src``, ``dst``, ``size`` and ``mid`` hold ints, never bools;
     the string columns hold fixed words and hex ids, which need no escaping.
     A simulated log holds a flood's sends as one record whose ``dst`` is the
-    tuple of its destinations and whose ``mid`` is its first copy's (see
-    ``EventLog``); iterating the log yields one record per copy, with ints.
+    tuple of its destinations and whose ``mid`` is its first copy's, and each
+    delivery as that ``mid`` (see ``EventLog``); iterating the log yields one
+    record per copy, with ints.
     """
 
     t: float
@@ -463,10 +464,11 @@ class EventLog:
       ``dst`` is the tuple of destinations, ascending, and its ``mid`` the
       first copy's; copy *k* goes to ``dst[k]`` under ``mid + k``. Every other
       column is the copies' own;
-    * a delivery is an int: the ``mid`` of the copy it arrives as, logged
-      earlier. The ``deliver`` record is that copy's ``send`` at the arrival
-      time ``t + link.delay(size)``, which this class alone recomputes, bit
-      for bit the time the simulator queued.
+    * a delivery is the very ``mid`` object of a flood logged earlier, and
+      stands for its copy that arrives next: by arrival time, then copy index,
+      as the simulator's heap pops them. Its ``deliver`` record is that copy's
+      ``send`` at ``t + link.delay(size)``, which this class alone recomputes,
+      bit for bit the time the simulator queued.
 
     Read records by iterating the log, which expands both; ``records`` has
     one entry per record. A log without links (read from a file, or built
@@ -485,23 +487,29 @@ class EventLog:
         if links is None:
             yield from self.records
             return
-        sent: dict[int, LogRecord] = {}  # the copies whose delivery is still ahead
+        ahead: dict[int, list] = {}  # by flood mid: (arrival, k, send) of its copies ahead, last first
         flood = None
         for r in self.records:
             if r.__class__ is int:
-                send = sent.pop(r)
-                delay = links[send.src][send.dst].delay(send.size)
-                yield _new_record(LogRecord, (send.t + delay, "deliver", *send[2:]))
+                copies = ahead[r]
+                t, _, send = copies.pop()
+                if not copies:
+                    del ahead[r]
+                yield _new_record(LogRecord, (t, "deliver", *send[2:]))
                 continue
             if r is flood:  # its next copy
                 k += 1
             elif r.kind == "send":
                 flood, k = r, 0
+                copies = ahead[r.mid] = []
             else:
                 yield r
                 continue
             t, kind, src, dsts, msg, size, mid, oid, ref, val = r
-            send = sent[mid + k] = _new_record(LogRecord, (t, kind, src, dsts[k], msg, size, mid + k, oid, ref, val))
+            send = _new_record(LogRecord, (t, kind, src, dsts[k], msg, size, mid + k, oid, ref, val))
+            copies.append((t + links[src][dsts[k]].delay(size), k, send))
+            if k == len(dsts) - 1:
+                copies.sort(reverse=True)
             yield send
 
     def lines(self) -> Iterator[str]:
@@ -517,14 +525,15 @@ class EventLog:
         that is the previous record's very object reuses its text too. A
         simulated flood's first copy formats the columns every copy shares
         once; its later copies, the same record object, add only their
-        ``dst`` and ``mid``. A delivery, an int entry, is written as its
-        arrival time and the text its copy's line has after the kind: the
-        entry names that very copy, so no column needs a check.
+        ``dst`` and ``mid``. A delivery, a flood's ``mid``, is written as
+        the arrival time and the text after the kind of the flood's next copy
+        to arrive, kept as ``(arrival, tail)``, or for a wider flood as its
+        copies' ``(arrival, k, tail)``, sorted once, last first.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
         links = self.links
-        sent: dict[int, tuple[float, str]] = {}  # by mid: a delivery ahead, its time and its send's tail
+        ahead: dict[int, tuple | list] = {}  # by flood mid: its copies ahead
         t_last = t_text = size_text = val_text = None
         size_last = val_last = object()  # the first record's objects differ from it
         flood = None  # the simulated send record whose copies are being written
@@ -533,7 +542,14 @@ class EventLog:
             lines = []
             for r in batch:
                 if r.__class__ is int:
-                    t_arrival, tail = sent.pop(r)
+                    copy = ahead[r]
+                    if copy.__class__ is tuple:
+                        del ahead[r]
+                        t_arrival, tail = copy
+                    else:
+                        t_arrival, _, tail = copy.pop()
+                        if not copy:
+                            del ahead[r]
                     if t_arrival != t_last or not t_arrival:
                         t_last, t_text = t_arrival, repr(t_arrival)
                     lines.append(f'[{t_text},"deliver",{tail}')
@@ -546,11 +562,13 @@ class EventLog:
                         middle = f',"{msg}",{size_text},'
                         end = f',"{oid}","{ref}",{val_text}]\n'
                         nbrs = links[src]
+                        last = len(dsts) - 1
                     dst = dsts[k]
-                    m = mid + k
-                    tail = f"{src_text}{dst!r}{middle}{m!r}{end}"
+                    tail = f"{src_text}{dst!r}{middle}{mid + k!r}{end}"
                     link = nbrs[dst]
-                    sent[m] = (t + (link.latency + size / link.bandwidth), tail)  # Link.delay, inlined
+                    copies.append((t + (link.latency + size / link.bandwidth), k, tail))  # Link.delay, inlined
+                    if k == last:
+                        copies.sort(reverse=True)
                     lines.append(head + tail)
                     continue
                 t, kind, src, dst, msg, size, mid, oid, ref, val = r
@@ -568,7 +586,11 @@ class EventLog:
                     dst = dst[0]
                     tail = f'{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
                     link = links[src][dst]
-                    sent[mid] = (t + (link.latency + size / link.bandwidth), tail)  # Link.delay, inlined
+                    arrival = t + (link.latency + size / link.bandwidth)  # Link.delay, inlined
+                    if len(dsts) == 1:
+                        ahead[mid] = (arrival, tail)
+                    else:
+                        copies = ahead[mid] = [(arrival, 0, tail)]
                     lines.append(f'[{t_text},"send",{tail}')
                 else:
                     lines.append(
@@ -813,7 +835,8 @@ def collector_paused() -> Iterator[None]:
     A run makes no reference cycles, so the collector frees nothing during
     it; but a log record is a tuple subclass, which CPython never untracks,
     so each full collection would walk every record the growing log holds
-    as a tuple: all but its deliveries, which it holds as ints.
+    as a tuple: one per flood and per other record; a delivery is its
+    flood's int.
     Pause for the log's whole lifetime (run, write, summarize, drop): a
     pause around the run alone moves a pass over every record to the
     caller. The exit collection frees whatever cycles the body did make;
@@ -899,9 +922,8 @@ class _Sim:
         ``size`` is its modelled size, computed once where the message was
         made; ``cpb`` its critical-path bytes so far. The copies share one
         ``send`` record, the flood's (see ``EventLog``), logged once per copy.
-        Copy *k* is queued as ``(arrival, seq, mid, record, msg)`` under its
-        own ``mid``, ``record.mid + k``; the first copy's is the record's very
-        int, which its delivery entry then shares.
+        Copy *k* is queued as ``(arrival, seq, k, record, msg)``: a small
+        cached *k*, no per-copy id.
         """
         neighbors = node.neighbors
         if to >= 0:
@@ -913,28 +935,26 @@ class _Sim:
             if not dsts:
                 return
         t_send = self.now + self.proc if self.proc else self.now  # at no delay, the clock's own float
-        mid = self.mid + 1
-        send = _new_record(LogRecord, (t_send, "send", node.nid, dsts, family, size, mid, oid, "", cpb))
+        send = _new_record(LogRecord, (t_send, "send", node.nid, dsts, family, size, self.mid + 1, oid, "", cpb))
         append = self.log.records.append
         heap = self.heap
         seq = self.seq
-        for dst in dsts:
+        for k, dst in enumerate(dsts):
             append(send)
             link = neighbors[dst]
             seq += 1
-            t = t_send + (link.latency + size / link.bandwidth)  # Link.delay, inlined
-            heappush(heap, (t, seq, mid, send, msg))
-            mid += 1
-        self.mid, self.seq = mid - 1, seq
+            heappush(heap, (t_send + (link.latency + size / link.bandwidth), seq, k, send, msg))  # Link.delay, inlined
+        self.mid += len(dsts)
+        self.seq = seq
 
     # -- lifecycle -------------------------------------------------------
 
     def run(self) -> EventLog:
         """Run every event up to the horizon and return the log.
 
-        A copy pops as ``(arrival, seq, mid, flood's send record, msg)``, the
+        A copy pops as ``(arrival, seq, k, flood's send record, msg)``, the
         only heap entry keyed by an int, and goes to the node at
-        ``record.dst[mid - record.mid]``. It is logged as its ``mid``, from
+        ``record.dst[k]``. It is logged as the record's own ``mid``, from
         which the log rebuilds its ``deliver`` record; a copy still in
         flight at the horizon has none.
         """
@@ -950,9 +970,9 @@ class _Sim:
         while heap and heap[0][0] <= horizon:
             t, _, kind, a, b = heappop(heap)
             self.now = t
-            if kind.__class__ is int:  # a copy: kind its mid, a its flood's send record, b the message
-                records.append(kind)
-                node = nodes[a.dst[kind - a.mid]]
+            if kind.__class__ is int:  # a copy: kind its index, a its flood's send record, b the message
+                records.append(a.mid)
+                node = nodes[a.dst[kind]]
                 # only a node's first copy of gossip is handled; txreq and
                 # txresp carry the oid "", which no seen set holds
                 if a.oid not in node.seen:

@@ -3,6 +3,7 @@
 import collections
 import gc
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advertsim import simnet
 from advertsim.core import Transaction, TxResponse, block_hash, hash_bytes, serialized_size, txid
 from advertsim.metrics import summarize
 from advertsim.protocol import Advert, AdvertRegistry, make_advert as select_list
@@ -369,6 +371,7 @@ class TestLateAdvertRace:
 
 
 FORKY_COLD = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "forky-cold.json"
+RING = FORKY_COLD.with_name("ring.json")
 
 
 class TestOwnAdvertFloods:
@@ -600,9 +603,10 @@ class _ArrivalSim(_Sim):
 
 
 class TestDeliveryRebuiltFromItsSend:
-    """A simulated log holds each delivery as its send's ``mid``. Iterating the
-    log rebuilds the ``deliver`` record: the send's columns at the time the
-    copy was queued for, ``t + link.delay(size)`` bit for bit."""
+    """A simulated log holds each delivery as its flood's ``mid``. Iterating the
+    log rebuilds the ``deliver`` record of the flood's copy that arrives next:
+    that copy's send columns at the time it was queued for,
+    ``t + link.delay(size)`` bit for bit."""
 
     # forky-cold cut to 10 s, with no processing delay; and the pinned
     # forky-cold-30s-delay case. Both pull (txreq, txresp) under ADVERT and
@@ -652,6 +656,47 @@ class TestDeliveryRebuiltFromItsSend:
         assert list(EventLog.read(path)) == records
 
 
+class TestDeliveryOrder:
+    """The log hands out a flood's deliveries in the order the simulator's heap
+    pops its copies: by arrival time, equal times by copy index."""
+
+    CASES = {
+        # constant links: thousands of adjacent equal-time deliveries, and
+        # two-copy floods whose copies arrive at one time
+        "ring": (RING, {}),
+        "forky-cold-20s": (FORKY_COLD, {"horizon_seconds": 20.0}),
+        "forky-cold-20s-delay": (
+            FORKY_COLD,
+            {
+                "horizon_seconds": 20.0,
+                "processing_delay_seconds": 0.01,
+                "link_bandwidth": {"kind": "constant", "value": 20_000},
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_deliveries_follow_the_heap(self, case, strategy, monkeypatch):
+        path, overrides = self.CASES[case]
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data.update(overrides, relay_strategy=strategy)
+        popped = []
+
+        def noting_heappop(heap):
+            entry = heapq.heappop(heap)
+            if type(entry[2]) is int:  # a copy: (arrival, seq, k, record, msg)
+                popped.append((entry[0], entry[3].dst[entry[2]]))
+            return entry
+
+        monkeypatch.setattr(simnet, "heappop", noting_heappop)
+        log = run_scenario(Scenario.from_dict(data))
+        delivered = [(r.t, r.dst) for r in log if r.kind == "deliver"]
+        assert popped and delivered == popped
+        if case == "ring":
+            assert sum(a[0] == b[0] for a, b in zip(delivered, delivered[1:])) > 1000
+
+
 class _FloodNotingSim(_Sim):
     """Notes each ``_send`` call that sends copies: where its entries start in
     ``log.records``, how many it adds, and whom it sends to."""
@@ -689,7 +734,6 @@ class TestFloodHeldOnce:
         records = list(log)
         assert len(records) == len(entries)
         assert sum(count for _, count, *_ in sim.floods) == sum(r.kind == "send" for r in records)
-        firsts = {}
         for start, count, node, exclude, to in sim.floods:
             held = entries[start]
             # one object, once per copy and back to back
@@ -708,9 +752,17 @@ class TestFloodHeldOnce:
             for r in copies:
                 assert r.src == node.nid
                 assert r[:3] == held[:3] and r[4:6] == held[4:6] and r[7:] == held[7:]
-            firsts[held.mid] = held
-        # the delivery of a flood's first copy holds the record's own int
-        assert all(e is firsts[e].mid for e in entries if type(e) is int and e in firsts)
+        # a delivery is the very mid object of a flood logged before it, and a
+        # flood has no more delivery entries than copies
+        logged, delivered = {}, collections.Counter()
+        for e in entries:
+            if type(e) is int:
+                assert e in logged and e is logged[e].mid
+                delivered[e] += 1
+                assert delivered[e] <= len(logged[e].dst)
+            elif e.kind == "send":
+                logged[e.mid] = e
+        assert len({id(e) for e in entries if type(e) is int}) <= len(sim.floods)
         if strategy == "ADVERT_PROTOCOL" or (case == "thin" and strategy == "LATE_ADVERT"):
             assert any(to >= 0 for *_, to in sim.floods)  # pulls ran
         path = tmp_path / "events.ndjson"
