@@ -27,10 +27,11 @@ import hashlib
 import json
 import math
 import random
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterator, NamedTuple, get_type_hints
@@ -529,6 +530,11 @@ class EventLog:
         the arrival time and the text after the kind of the flood's next copy
         to arrive, kept as ``(arrival, tail)``, or for a wider flood as its
         copies' ``(arrival, k, tail)``, sorted once, last first.
+
+        A chunk whose text holds inf or nan, repr()'s non-finite floats, goes
+        through json (Infinity, NaN). Texts are searched only from the first
+        non-finite float formatted (``x - x`` is truthy only for those) to the
+        end of the log, as a later chunk may reuse a formatted text.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
@@ -537,6 +543,7 @@ class EventLog:
         t_last = t_text = size_text = val_text = None
         size_last = val_last = object()  # the first record's objects differ from it
         flood = None  # the simulated send record whose copies are being written
+        non_finite = False  # whether a float formatted so far was inf or nan
         for i in range(0, len(records), _CHUNK_LINES):
             batch = records[i : i + _CHUNK_LINES]
             lines = []
@@ -552,6 +559,8 @@ class EventLog:
                             del ahead[r]
                     if t_arrival != t_last or not t_arrival:
                         t_last, t_text = t_arrival, repr(t_arrival)
+                        if t_arrival - t_arrival:
+                            non_finite = True
                     lines.append(f'[{t_text},"deliver",{tail}')
                     continue
                 if r is flood:  # a later copy: the record's identity proves every other column equal
@@ -574,10 +583,14 @@ class EventLog:
                 t, kind, src, dst, msg, size, mid, oid, ref, val = r
                 if t != t_last or not t:
                     t_last, t_text = t, repr(t)
+                    if t - t:
+                        non_finite = True
                 if size is not size_last:
                     size_last, size_text = size, repr(size)
                 if val is not val_last:
                     val_last, val_text = val, repr(val)
+                    if val - val:
+                        non_finite = True
                 # each line exactly as _encode writes it: json prints ints and
                 # finite floats as their repr(), and the string columns are
                 # fixed words and hex ids, which need no escaping
@@ -597,9 +610,8 @@ class EventLog:
                         f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
                     )
             text = "".join(lines)
-            if "inf" in text or "nan" in text:
-                # a non-finite float: repr() spells it inf/nan, json Infinity/NaN.
-                # No fixed word or hex id contains either substring. Simulated
+            if non_finite and ("inf" in text or "nan" in text):
+                # no fixed word or hex id contains either substring. Simulated
                 # times and path bytes are finite, so a rebuilt chunk is rare.
                 if links is not None:
                     batch = islice(self, i, i + _CHUNK_LINES)
@@ -655,6 +667,8 @@ class _PendingSeed:
 
 @dataclass(slots=True, eq=False)
 class _Node:
+    """One miner's state. Which gossip it has taken in is in ``_Sim.seen``."""
+
     nid: int
     address: Address
     chain: ChainState
@@ -668,7 +682,6 @@ class _Node:
     # rows built at set-up cost more set-up time than the run saves
     flood_dsts: dict[int, tuple[int, ...]] = field(default_factory=dict)
     tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
-    seen: set[str] = field(default_factory=set)
     pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
     # how many parked entries have each item in their needs. It pays for
     # itself: in the forky-cold seed-1 ADVERT run, 25,061 of 28,204 wake-ups
@@ -683,7 +696,7 @@ class _Node:
     # block_found; BASELINE chooses at the find from the pool as the session
     # found it, and never sends it. Not in the registry: that answers for
     # received seeds, and the node's own seed and advert come back only as
-    # copies that ``seen`` drops.
+    # copies that its ``_Sim.seen`` flag drops.
     advert: Advert | None = None
     pool_at_start: int = 0  # BASELINE: the pool's size when the session began
     # per registered advert's key, its ledger: (time, bytes) of its first
@@ -853,6 +866,14 @@ def collector_paused() -> Iterator[None]:
 
 
 class _Sim:
+    """One run of a scenario.
+
+    ``seen``, the network's deduplication table, maps each gossip oid to one
+    flag per node, set once the node takes the message in: one table, not a
+    set per node holding nearly every oid. ``path_bytes`` holds one float
+    per path-bytes value the forwards carry.
+    """
+
     def __init__(self, sc: Scenario) -> None:
         edges = sc.validate()
         self.sc = sc
@@ -861,6 +882,8 @@ class _Sim:
         self.seq = 0
         self.mid = 0
         self.heap: list = []
+        self.seen: defaultdict[str, bytearray] = defaultdict(partial(bytearray, sc.node_count))
+        self.path_bytes: dict[float, float] = {}  # always positive, so 0.0 and -0.0 never merge
         self.find_time: dict[Hash, float] = {}
         self.proc = sc.processing_delay_seconds
         self.policy = SelectionPolicy(
@@ -967,16 +990,17 @@ class _Sim:
         heap = self.heap
         records = self.log.records
         nodes = self.nodes
+        seen = self.seen
         while heap and heap[0][0] <= horizon:
             t, _, kind, a, b = heappop(heap)
             self.now = t
             if kind.__class__ is int:  # a copy: kind its index, a its flood's send record, b the message
                 records.append(a.mid)
-                node = nodes[a.dst[kind]]
+                nid = a.dst[kind]
                 # only a node's first copy of gossip is handled; txreq and
-                # txresp carry the oid "", which no seen set holds
-                if a.oid not in node.seen:
-                    self._on_deliver(node, a, b)
+                # txresp carry the oid "", which no node flags
+                if not seen[a.oid][nid]:
+                    self._on_deliver(nodes[nid], a, b)
             elif kind == "found":  # a: the finder, b: its mining session
                 self._on_found(a, b)
             else:
@@ -986,7 +1010,7 @@ class _Sim:
     def _announce(self, node: _Node, advert: Advert) -> None:
         """Flood a node's own advert to all its neighbours."""
         oid = gossip_dedup_key(advert).short()
-        node.seen.add(oid)
+        self.seen[oid][node.nid] = 1
         size = serialized_size(advert)
         self._send(node, advert, "advert", oid, float(size), size)
 
@@ -1074,7 +1098,7 @@ class _Sim:
         else:
             msg = make_block_seed(block)
             family, size = "seed", serialized_size(msg)
-        node.seen.add(oid)
+        self.seen[oid][nid] = 1
         self._send(node, msg, family, oid, float(size), size)
         self._accept(node, block, bh, oid, 0.0)
 
@@ -1113,20 +1137,21 @@ class _Sim:
         elif family == "tx":
             self._relay_new_tx(node, msg, oid, sent.size, sent.src)
         else:
-            node.seen.add(oid)
+            self.seen[oid][node.nid] = 1
             if family == "advert":
                 self._handle_advert(node, msg, sent)
-                self._send(node, msg, "advert", oid, sent.val + sent.size, sent.size, sent.src)
+                self._send(node, msg, "advert", oid, self._forwarded_bytes(sent), sent.size, sent.src)
             else:
                 self._handle_relayed_block(node, msg, sent)
 
     def _relay_new_tx(self, node: _Node, tx: Transaction, oid: str, size: int, exclude: int = -1) -> None:
         """Take in and flood, to all but ``exclude``, a faucet arrival, a first gossip copy
         or a pull answer new to ``node``, given its gossip oid and wire size. The
-        caller has decided it is new: ``seen`` holds the oid of every non-warm
-        transaction in ``tx_store``, and no node gossips a warm one."""
+        caller has decided it is new: ``seen`` flags the node for the oid of
+        every non-warm transaction in its ``tx_store``, and no node gossips a
+        warm one."""
         h = txid(tx)
-        node.seen.add(oid)
+        self.seen[oid][node.nid] = 1
         node.tx_store[h] = tx
         node.mempool.add(tx, node.chain.utxo)
         self._wake(node, h)
@@ -1198,7 +1223,13 @@ class _Sim:
         self._accept(node, block, bh, sent.oid, pb)
         # a forwarded seed carries only seed-family path bytes; advert and
         # pull bytes stay node-local (each hop accounts its own)
-        self._send(node, msg, sent.msg, sent.oid, sent.val + sent.size, sent.size, sent.src)
+        self._send(node, msg, sent.msg, sent.oid, self._forwarded_bytes(sent), sent.size, sent.src)
+
+    def _forwarded_bytes(self, sent: LogRecord) -> float:
+        """The path bytes a forward of ``sent`` carries, ``sent.val + sent.size``,
+        as the run's one float of that value."""
+        cpb = sent.val + sent.size
+        return self.path_bytes.setdefault(cpb, cpb)
 
     def _handle_tx_request(self, node: _Node, req: TxRequest, requester: int) -> None:
         store = node.tx_store

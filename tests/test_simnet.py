@@ -772,6 +772,37 @@ class TestFloodHeldOnce:
         assert list(EventLog.read(path)) == records
 
 
+class TestSeenTable:
+    """The network's ``seen`` table flags node *d* for gossip id *o* exactly
+    when *d* sent a gossip flood with id *o* or was delivered a copy of one."""
+
+    CASES = {
+        "20s": {"horizon_seconds": 20.0},
+        "thin": {"horizon_seconds": 30.0, "link_bandwidth": {"kind": "constant", "value": 2_000}},
+    }
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_flags_are_the_nodes_that_sent_or_got_each_id(self, case, strategy):
+        sim = _Sim(_forky_cold(relay_strategy=strategy, **self.CASES[case]))
+        log = sim.run()
+        gossip = {"tx", "advert", "seed", "block"}
+        expected = {(r.src, r.oid) for r in log if r.kind == "send" and r.msg in gossip}
+        expected |= {(r.dst, r.oid) for r in log if r.kind == "deliver" and r.msg in gossip}
+        flagged = {(d, oid) for oid, flags in sim.seen.items() for d, flag in enumerate(flags) if flag}
+        assert flagged == expected
+        assert all(len(flags) == sim.sc.node_count for flags in sim.seen.values())
+        # pulls carry the oid "", which is never flagged
+        pulls = {r.msg for r in log if r.kind == "deliver" and r.oid == ""}
+        assert pulls <= {"txreq", "txresp"}
+        if strategy == "ADVERT_PROTOCOL":
+            assert pulls
+        assert not any(sim.seen.get("", b""))
+
+    def test_nodes_hold_no_seen_set(self):
+        assert "seen" not in simnet._Node.__slots__
+
+
 class TestNoReferenceCycles:
     """A run, its written log and its summary make no reference cycles, so the
     CLI may pause the cyclic collector for a whole command."""
@@ -826,7 +857,7 @@ def _log_records(draw) -> list:
     it), pairs with one column changed (a fresh value, or 0.0 against
     -0.0), a deliver before its send or with no send, now and then an inf
     or a nan, and, when split, filler that puts the chunk boundary anywhere
-    in the list."""
+    in the list, sometimes with one non-finite value on both sides of it."""
 
     def record(kind=None):
         cols = [draw(s) for s in _COLUMNS]
@@ -864,6 +895,12 @@ def _log_records(draw) -> list:
     if records and draw(st.booleans()):
         k = draw(st.integers(0, len(records)))  # records[:k] end the first chunk
         records[:0] = [_FILLER] * (1024 - k)
+        if len(records) > 1024 and draw(st.integers(0, 3)) == 0:
+            # the writer may reuse the text of the chunk's last time or val
+            column = draw(st.sampled_from(["t", "val"]))
+            bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            for i in (1023, 1024):
+                records[i] = records[i]._replace(**{column: bad})
     return records
 
 
@@ -959,6 +996,37 @@ class TestLogFormat:
         self._assert_written_as_json(log, tmp_path)
         deliver = json.loads(list(log.lines())[3])
         assert deliver == [0.5 + link.delay(300), "deliver", 0, 1, "seed", 300, 7, oid, "", 300.0]
+
+    def test_non_finite_time_reused_across_a_chunk_boundary(self, tmp_path):
+        # the second inf reuses the first's text, formatted in the chunk before
+        oid = "0123456789abcdef"
+        log = EventLog({"schema": 1})
+        log.records.extend(
+            LogRecord(math.inf if i in (1023, 1024) else float(i), "block_accept", 0, -1, "", 0, -1, oid, "", 1.5)
+            for i in range(1030)
+        )
+        self._assert_written_as_json(log, tmp_path)
+        assert list(log.lines())[1025].startswith("[Infinity,")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_val_of_a_flood_delivered_in_the_next_chunk(self, bad, tmp_path):
+        # the delivery's line is the send's tail, formatted a chunk earlier
+        oid = "0123456789abcdef"
+        link = Link(0, 1, 0.05, 1_000_000.0)
+        log = EventLog({"schema": 1}, [{1: link}, {0: link}])
+        filler = [LogRecord(float(i), "tip_adopt", 0, -1, "", 0, -1, oid, "", 1.0) for i in range(1020)]
+        send = LogRecord(1020.0, "send", 0, (1,), "seed", 300, 7, oid, "", bad)
+        log.records.extend([*filler, send, *filler[:9], 7])
+        self._assert_written_as_json(log, tmp_path)
+        assert list(log.lines())[1031].endswith("," + json.dumps(bad) + "]")
+
+    def test_delivery_whose_arrival_overflows_written_as_infinity(self, tmp_path):
+        oid = "0123456789abcdef"
+        link = Link(0, 1, 0.05, 5e-324)  # 300 bytes take inf seconds
+        log = EventLog({"schema": 1}, [{1: link}, {0: link}])
+        log.records.extend([LogRecord(0.5, "send", 0, (1,), "seed", 300, 7, oid, "", 300.0), 7])
+        self._assert_written_as_json(log, tmp_path)
+        assert list(log.lines())[2].startswith('[Infinity,"deliver",')
 
     @settings(max_examples=150, deadline=None)
     @given(_log_records())
