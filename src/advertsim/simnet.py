@@ -656,8 +656,8 @@ class _PendingSeed:
     family, size, id and path bytes are read, never its time, destinations
     or ``mid``. ``needs`` holds what its last try lacked, to be woken by:
     its advert key, the advertised transactions it could not resolve, or
-    its parent's hash. Set it only through ``_Node.set_needs``, which keeps
-    the node's ``waiting`` index in step.
+    its parent's hash. An entry that leaves ``_Node.pending`` keeps it; no
+    wake reaches that entry again.
     """
 
     msg: BlockSeed | Block  # as relayed
@@ -683,12 +683,6 @@ class _Node:
     flood_dsts: dict[int, tuple[int, ...]] = field(default_factory=dict)
     tx_store: dict[Hash, Transaction] = field(default_factory=dict)  # every tx ever seen; answers pulls
     pending: dict[Hash, _PendingSeed] = field(default_factory=dict)
-    # how many parked entries have each item in their needs. It pays for
-    # itself: in the forky-cold seed-1 ADVERT run, 25,061 of 28,204 wake-ups
-    # find parked entries, none waiting on what arrived (seeds that advert
-    # eviction strands; 280 are still parked at the horizon). The index skips
-    # those 269,747 entry checks; without it _Sim.run took 6-12% longer.
-    waiting: dict = field(default_factory=dict)
     session: int = 0
     started: float = 0.0  # when the current mining session began
     # ADVERT: the session's own advert, chosen when the session starts and
@@ -707,25 +701,6 @@ class _Node:
     # per requested txid, the ledger its answer is charged to; an evicted
     # advert's ledger is unreachable and its key never registers again
     req_map: dict[Hash, list[tuple[float, float]]] = field(default_factory=dict)
-
-    def set_needs(self, pend: _PendingSeed, needs: tuple | frozenset) -> None:
-        """Record what parked ``pend`` lacks, in it and in ``waiting``."""
-        waiting = self.waiting
-        for x in pend.needs:
-            n = waiting[x] - 1
-            if n:
-                waiting[x] = n
-            else:
-                del waiting[x]
-        for x in needs:
-            waiting[x] = waiting.get(x, 0) + 1
-        pend.needs = needs
-
-    def unpark(self, bh: Hash) -> None:
-        """Drop the entry parked under ``bh``, if any, and what it waits for."""
-        pend = self.pending.pop(bh, None)
-        if pend is not None:
-            self.set_needs(pend, ())
 
 
 def node_address(nid: int) -> Address:
@@ -1174,14 +1149,15 @@ class _Sim:
         if type(msg) is BlockSeed or not node.chain.knows(msg.header.prev_block_hash):
             pending = node.pending
             if len(pending) >= self.sc.pending_seed_buffer:
-                node.unpark(next(iter(pending)))  # FIFO eviction
+                del pending[next(iter(pending))]  # FIFO eviction
             pending[header_hash(msg.header)] = pend
         self._try_seed(node, pend)
 
     def _wake(self, node: _Node, arrived: Hash | tuple[Address, Hash]) -> None:
         """Retry, in parking order, every parked entry whose last try lacked ``arrived``
-        (an advert key, a transaction id or a block hash); each try decides whether to pull."""
-        if arrived in node.waiting:
+        (an advert key, a transaction id or a block hash); each try decides whether to pull.
+        A wake scans every parked entry: ``pending`` holds at most ``pending_seed_buffer``."""
+        if node.pending:
             for pend in [p for p in node.pending.values() if arrived in p.needs]:
                 self._try_seed(node, pend)
 
@@ -1202,17 +1178,17 @@ class _Sim:
                 if rec.missing:
                     if type(pend.needs) is not frozenset:  # not asked yet: a first try, or its advert woke it
                         self._request_txs(node, rec.missing, sent.src, node.pull_log[key], force=True)
-                    node.set_needs(pend, frozenset(rec.missing))
+                    pend.needs = frozenset(rec.missing)
                 else:
-                    node.set_needs(pend, (key,))
+                    pend.needs = (key,)
                 return
             block = rec.block
             reason = validate_block(block, node.registry, node.chain)
         if reason is Reason.WRONG_PREV_HASH:
-            node.set_needs(pend, (header.prev_block_hash,))
+            pend.needs = (header.prev_block_hash,)
             return
         bh = header_hash(header)
-        node.unpark(bh)
+        node.pending.pop(bh, None)
         if reason is not Reason.OK:
             return
         pb = sent.val

@@ -1096,11 +1096,16 @@ class TestFloodCompleteness:
 
 
 class _CountingSim(_Sim):
-    """The simulator as shipped, counting its pending-seed tries."""
+    """The simulator as shipped, counting its pending-seed tries and buffer evictions."""
 
     def __init__(self, sc: Scenario) -> None:
         super().__init__(sc)
         self.tries = 0
+        self.evictions = 0
+
+    def _handle_relayed_block(self, node, msg, sent):
+        self.evictions += len(node.pending) >= self.sc.pending_seed_buffer
+        super()._handle_relayed_block(node, msg, sent)
 
     def _try_seed(self, node, pend):
         self.tries += 1
@@ -1140,24 +1145,35 @@ class TestPendingSeedRetryOracle:
     """Retrying a parked entry only when what its last try lacked arrives changes no log line."""
 
     @pytest.mark.parametrize(
-        "strategy, bandwidth, delay, txs_unblock",
+        "strategy, bandwidth, delay, buffer, txs_unblock",
         [
             # on fast links a transaction always lands before a seed naming
             # it: ADVERT's tx-triggered retries all find the seed unchanged
             # (LATE makes none there)
-            ("ADVERT_PROTOCOL", 1_000_000.0, 0.0, False),
+            ("ADVERT_PROTOCOL", 1_000_000.0, 0.0, 32, False),
             # on thin links the 300 B seed outruns the 500 B transactions it names
-            ("ADVERT_PROTOCOL", 2_000.0, 0.0, True),
-            ("LATE_ADVERT", 2_000.0, 0.0, True),
+            ("ADVERT_PROTOCOL", 2_000.0, 0.0, 32, True),
+            ("LATE_ADVERT", 2_000.0, 0.0, 32, True),
             # full blocks park only on their parent; no transaction unblocks one
-            ("BASELINE_FULL_BLOCK", 2_000.0, 0.0, False),
+            ("BASELINE_FULL_BLOCK", 2_000.0, 0.0, 32, False),
             # post-find pulls reach the critical path; every transaction
             # still lands before the seed naming it
-            ("ADVERT_PROTOCOL", 20_000.0, 0.01, False),
+            ("ADVERT_PROTOCOL", 20_000.0, 0.01, 32, False),
+            # a buffer of 2 evicts between wake-ups
+            ("ADVERT_PROTOCOL", 2_000.0, 0.0, 2, True),
+            ("LATE_ADVERT", 2_000.0, 0.0, 2, True),
         ],
-        ids=["ADVERT-fast-links", "ADVERT-thin-links", "LATE-thin-links", "BASELINE-thin-links", "ADVERT-delay"],
+        ids=[
+            "ADVERT-fast-links",
+            "ADVERT-thin-links",
+            "LATE-thin-links",
+            "BASELINE-thin-links",
+            "ADVERT-delay",
+            "ADVERT-evicting",
+            "LATE-evicting",
+        ],
     )
-    def test_filtered_retries_match_full_scan(self, strategy, bandwidth, delay, txs_unblock):
+    def test_filtered_retries_match_full_scan(self, strategy, bandwidth, delay, buffer, txs_unblock):
         # forky and cold: stale rate near 0.5, so seeds park on their
         # parents and adverts
         sc = Scenario(
@@ -1173,6 +1189,7 @@ class TestPendingSeedRetryOracle:
             link_latency={"kind": "uniform", "low": 0.05, "high": 0.5},
             link_bandwidth={"kind": "constant", "value": bandwidth},
             processing_delay_seconds=delay,
+            pending_seed_buffer=buffer,
         )
         ref = _FullScanSim(sc)
         ref_lines = list(ref.run().lines())
@@ -1183,6 +1200,8 @@ class TestPendingSeedRetryOracle:
         if txs_unblock:
             assert ref.tx_advances > 0
         assert real.tries < ref.tries
+        if buffer == 2:
+            assert real.evictions > 0
         accepts = collections.Counter((r.src, r.oid) for r in log if r.kind == "block_accept")
         assert accepts and max(accepts.values()) == 1
 
@@ -1510,51 +1529,6 @@ class TestTemplateBuiltAtFind:
                 assert headers[r.oid].timestamp == int(chosen)
                 crossed += int(started.get(r.src, 0.0)) != int(r.t)
         assert crossed > 0  # some sessions span a second boundary
-
-
-class _IndexCheckingSim(_Sim):
-    """The simulator as shipped, checking its wake index after every try."""
-
-    def __init__(self, sc: Scenario) -> None:
-        super().__init__(sc)
-        self.checks = 0
-        self.evictions = 0
-        self.waited = 0  # tries after which some entry is parked
-
-    @staticmethod
-    def index_holds(node) -> bool:
-        return node.waiting == collections.Counter(x for p in node.pending.values() for x in p.needs)
-
-    def _handle_relayed_block(self, node, msg, sent):
-        self.evictions += len(node.pending) >= self.sc.pending_seed_buffer
-        super()._handle_relayed_block(node, msg, sent)
-
-    def _try_seed(self, node, pend):
-        super()._try_seed(node, pend)
-        assert self.index_holds(node)
-        self.checks += 1
-        self.waited += bool(node.waiting)
-
-
-class TestWakeIndex:
-    """``node.waiting`` counts, per item, the parked entries whose needs hold it."""
-
-    @pytest.mark.parametrize(
-        "strategy, buffer",
-        [("BASELINE_FULL_BLOCK", 32), ("ADVERT_PROTOCOL", 32), ("LATE_ADVERT", 32), ("ADVERT_PROTOCOL", 2)],
-    )
-    def test_index_equals_the_parked_needs(self, strategy, buffer):
-        sim = _IndexCheckingSim(_forky_cold(horizon_seconds=10.0, relay_strategy=strategy, pending_seed_buffer=buffer))
-        sim.run()
-        assert sim.checks > 0
-        assert all(sim.index_holds(node) for node in sim.nodes)
-        if buffer == 2:
-            assert sim.evictions > 0
-        if strategy != "BASELINE_FULL_BLOCK":  # here no full block is still parked after a try
-            assert sim.waited > 0
-        if strategy == "ADVERT_PROTOCOL":
-            # ROADMAP item 1's fix deletes this line: it needs that defect
-            assert any(node.waiting for node in sim.nodes)  # stranded seeds still wait
 
 
 class _LedgerCheckingSim(_Sim):
