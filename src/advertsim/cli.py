@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
+from functools import cache
 from pathlib import Path
 
 from .metrics import _write_json, _write_run_outputs
@@ -204,7 +205,11 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and a parser built per command would be garbage that the next command's
+    exit collection, scoped to what that command made, never walks."""
     parser = argparse.ArgumentParser(
         prog="advertsim",
         description="Deterministic simulator for advertise-ahead block relay.",

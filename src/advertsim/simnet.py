@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -396,6 +396,36 @@ def _random_regular(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]
             pairs.add((min(a, b), max(a, b)))
         if ok and _connected(n, pairs):
             return sorted(pairs)
+    # a pairing is simple with probability about exp(-(d*d - 1) / 4), so from
+    # degree 6 on the loop above rarely succeeds: switch the last pairing's
+    # edges until it is simple and connected
+    return _switched_to_simple(n, stubs, rng)
+
+
+def _switched_to_simple(n: int, stubs: list[int], rng: random.Random) -> list[tuple[int, int]]:
+    """The pairing of consecutive ``stubs``, made simple and connected by
+    double-edge swaps, which keep every degree: while a self-loop or repeated
+    edge is left, swap one with a random edge into two new simple edges, so
+    each swap removes one; then, while the graph is disconnected, swap two
+    random edges, keeping it simple."""
+    edges = [(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])]
+    count = Counter(edges)
+    for _ in range(100 * len(edges)):
+        bad = [i for i, (a, b) in enumerate(edges) if a == b or count[a, b] > 1]
+        if not bad and _connected(n, edges):
+            return sorted(edges)
+        i = rng.choice(bad) if bad else rng.randrange(len(edges))
+        j = rng.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, e = e, c
+        new = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+        if a == c or b == e or new[0] == new[1] or count[new[0]] or count[new[1]]:
+            continue
+        for k, edge in zip((i, j), new):
+            count[edges[k]] -= 1
+            count[edge] += 1
+            edges[k] = edge
     raise ScenarioError("topology", "failed to sample a connected regular graph")
 
 
@@ -829,15 +859,23 @@ def collector_paused() -> Iterator[None]:
     pause around the run alone moves a pass over every record to the
     caller. The exit collection frees whatever cycles the body did make;
     without it, peak memory creeps over repeated in-process commands.
+    It is a full collection over what the body made only: what exists at
+    entry is frozen (``gc.freeze``) and unfrozen after it, unless the
+    caller already froze objects, whose frozen set is then left alone.
     """
     enabled = gc.isenabled()
     gc.disable()
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         yield
     finally:
         if enabled:
             gc.enable()
         gc.collect()
+        if freeze:
+            gc.unfreeze()
 
 
 class _Sim:

@@ -3,6 +3,9 @@
 import gc
 import hashlib
 import json
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -263,6 +266,12 @@ class TestValidateAndExitCodes:
                 == EXIT_OK
             )
 
+    def test_validate_accepts_a_high_degree_random_regular_topology(self, tmp_path, capsys):
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({**TINY, "node_count": 12, "topology": {"kind": "random_regular", "degree": 8}}))
+        assert main(["validate-scenario", "--scenario", str(path)]) == EXIT_OK
+        assert "scenario ok" in capsys.readouterr().out
+
     def test_invalid_scenario_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**TINY, "tx_rate": -2.0}))
@@ -415,17 +424,42 @@ class TestValidateAndExitCodes:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
+# Ten in-process compares in a fresh interpreter; prints, per command, its
+# exit code, the collector's tracked-object count and the frozen count.
+_REPEATED_COMPARES = """
+import gc, json, sys
+sys.path.insert(0, sys.argv[1])
+from advertsim.cli import main
+counts = []
+for _ in range(10):
+    rc = main(["compare", "--scenario", sys.argv[2], "--out", sys.argv[3]])
+    counts.append((rc, len(gc.get_objects()), gc.get_freeze_count()))
+print(json.dumps(counts))
+"""
+
+
 class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_main_restores_the_collector_setting(self, enabled, tiny_scenario, tmp_path, monkeypatch):
         (gc.enable if enabled else gc.disable)()
+        # a caller's frozen objects stay frozen: main freezes nothing more and
+        # unfreezes nothing (a frozen object may still die by reference count)
+        kept = [object()]
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+
+        def check_pause_undone():
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() <= frozen
+            assert gc.is_tracked(kept) and not any(o is kept for o in gc.get_objects())
+
         out = ["--out", str(tmp_path / "o")]
         assert main(["run", "--scenario", str(tiny_scenario)] + out) == EXIT_OK
-        assert gc.isenabled() is enabled
+        check_pause_undone()
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**TINY, "tx_rate": -2.0}))
         assert main(["run", "--scenario", str(bad)] + out) == EXIT_SCENARIO
-        assert gc.isenabled() is enabled
+        check_pause_undone()
         during = []
 
         def failing_run(sc):
@@ -434,5 +468,49 @@ class TestCollectorPause:
 
         monkeypatch.setattr(cli, "run_scenario", failing_run)
         assert main(["run", "--scenario", str(tiny_scenario)] + out) == EXIT_RUNTIME
-        assert gc.isenabled() is enabled
+        check_pause_undone()
         assert during == [False]  # paused while the command ran
+
+    @pytest.mark.parametrize("caller_froze", [True, False], ids=["caller-froze", "none-frozen"])
+    def test_cycle_made_by_a_command_is_freed_when_main_returns(
+        self, caller_froze, tiny_scenario, tmp_path, monkeypatch
+    ):
+        # the suite's per-test pause has frozen the heap, as a caller may;
+        # unfrozen, main freezes it itself
+        if not caller_froze:
+            gc.unfreeze()
+        refs = []
+        execute = cli._execute
+
+        class Sentinel:
+            pass
+
+        def cyclic_execute(sc, outdir):
+            sentinel = Sentinel()
+            refs.append(weakref.ref(sentinel))
+            cycle = {"sentinel": sentinel}
+            cycle["self"] = cycle
+            return execute(sc, outdir)
+
+        monkeypatch.setattr(cli, "_execute", cyclic_execute)
+        assert main(["run", "--scenario", str(tiny_scenario), "--out", str(tmp_path)]) == EXIT_OK
+        assert len(refs) == 1 and refs[0]() is None
+        assert (gc.get_freeze_count() > 0) is caller_froze
+
+    def test_repeated_commands_leave_nothing_behind(self, tmp_path):
+        # a fresh interpreter: the suite's own per-test pause would freeze,
+        # and so hide, whatever a command leaves uncollected
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPEATED_COMPARES, str(REPO_ROOT / "src"),
+             str(REPO_ROOT / "scenarios" / "two_node_demo.json"), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert [rc for rc, _, _ in counts] == [EXIT_OK] * 10
+        assert [frozen for _, _, frozen in counts] == [0] * 10
+        # a parser built per command left about 200 objects behind each time
+        settled = counts[1][1]
+        assert all(abs(n - settled) <= 40 for _, n, _ in counts[1:]), counts

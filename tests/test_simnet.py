@@ -131,6 +131,19 @@ class TestTopologies:
             degree[b] += 1
         assert set(degree.values()) == {4}
 
+    @pytest.mark.parametrize("n, d", [(12, 6), (8, 6), (10, 7), (12, 8), (12, 10), (64, 8)])
+    def test_random_regular_of_high_degree_is_simple_connected_and_regular(self, n, d):
+        # the pairing model's rejection loop fails on each of these at seed 1;
+        # build_topology raises on a disconnected result
+        edges = build_topology({"kind": "random_regular", "degree": d}, n, random.Random(1))
+        assert len(edges) == n * d // 2
+        assert len(set(edges)) == len(edges) and all(a < b for a, b in edges)
+        degree = [0] * n
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        assert set(degree) == {d}
+
     def test_explicit_edges(self):
         spec = {"kind": "edges", "edges": [[0, 1], [1, 2]]}
         assert build_topology(spec, 3, random.Random(0)) == [(0, 1), (1, 2)]
