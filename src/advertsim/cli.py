@@ -208,8 +208,7 @@ def _cmd_validate(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged,
-    and a parser built per command would be garbage that the next command's
-    exit collection, scoped to what that command made, never walks."""
+    and a build costs about a millisecond per command."""
     parser = argparse.ArgumentParser(
         prog="advertsim",
         description="Deterministic simulator for advertise-ahead block relay.",
@@ -257,15 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         # a command's logs make no cycles; its runs share one workload per
-        # key, freed with the rest of the command
+        # key, freed with the rest of the command. The parser is built inside
+        # the pause too: the cyclic garbage a build leaves is then the
+        # command's own, which its exit collection frees, not the caller's,
+        # which every later command would freeze
         with collector_paused():
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as e:
+                return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
             try:
                 return args.func(args)
             finally:

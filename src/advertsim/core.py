@@ -48,15 +48,22 @@ class Address(bytes):
     """A 20-byte miner coinbase address."""
 
     def __new__(cls, data: bytes) -> "Address":
+        if type(data) is cls:
+            return data  # immutable, so the instance itself serves
         b = bytes(data)
         if len(b) != 20:
             raise ValueError(f"Address must be exactly 20 bytes, got {len(b)}")
         return super().__new__(cls, b)
 
 
+# Builds a Hash from bytes known to be 32 long, without Hash's Python-level
+# __new__; hash_bytes, the one source of digests, uses it.
+_new_hash = bytes.__new__
+
+
 def hash_bytes(data: bytes) -> Hash:
     """Double SHA-256 of ``data``."""
-    return Hash(hashlib.sha256(hashlib.sha256(data).digest()).digest())
+    return _new_hash(Hash, hashlib.sha256(hashlib.sha256(data).digest()).digest())
 
 
 Outpoint = tuple[Hash, int]

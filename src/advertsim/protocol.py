@@ -276,6 +276,9 @@ class AddOutcome:
         return self.kind != "side"
 
 
+_SIDE = AddOutcome("side")  # immutable, so every side block shares it
+
+
 class ChainState:
     """One node's history of validated blocks: heights, the tip, and the tip's UTXO set.
 
@@ -373,7 +376,7 @@ class ChainState:
         if parent not in self.heights:
             raise ValueError("parent of added block is unknown")
         if h in self.heights:
-            return AddOutcome("side")
+            return _SIDE
         if h not in self.checked:
             reason = _check_content(block, self, None)
             if reason is not Reason.OK:
@@ -385,7 +388,7 @@ class ChainState:
             self.tip_hash = h
             return AddOutcome("extended", added=(block,))
         if height <= self.height:
-            return AddOutcome("side")
+            return _SIDE
         back, forward = self._paths_between(self.tip_hash, h)
         self._move(self.utxo, back, forward)
         self.tip_hash = h
@@ -479,6 +482,9 @@ class ReconstructionResult:
         return self.block is not None
 
 
+_NO_ADVERT = ReconstructionResult(None, Reason.NO_MATCHING_ADVERT)  # immutable, so shared
+
+
 def reconstruct_block(
     seed: BlockSeed, registry: AdvertRegistry, store: dict[Hash, Transaction]
 ) -> ReconstructionResult:
@@ -490,7 +496,7 @@ def reconstruct_block(
     """
     advert = registry.lookup(seed.coinbase_address, seed.header.prev_block_hash)
     if advert is None:
-        return ReconstructionResult(None, Reason.NO_MATCHING_ADVERT)
+        return _NO_ADVERT
     missing = missing_txs(advert, store)
     if missing:
         return ReconstructionResult(None, Reason.MISSING_TXS, tuple(missing))

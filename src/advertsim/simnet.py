@@ -480,7 +480,7 @@ class LogRecord(NamedTuple):
 
 
 # Builds a record from a ready tuple without LogRecord's Python-level __new__;
-# the hot send, deliver and tx_arrival paths use it.
+# every record the simulator makes per message or per block uses it.
 _new_record = tuple.__new__
 
 
@@ -703,7 +703,7 @@ class _Node:
     address: Address
     chain: ChainState
     mempool: Mempool
-    rate: float
+    rate: HashRate
     mining_rng: random.Random
     registry: AdvertRegistry = field(default_factory=AdvertRegistry)
     neighbors: dict[int, Link] = field(default_factory=dict)  # by ascending neighbour id
@@ -903,6 +903,8 @@ class _Sim:
             max_block_size_bytes=sc.block_size_cap_bytes,
             coinbase_size_bytes=sc.coinbase_size_bytes,
         )
+        self.difficulty = CompactTarget(sc.difficulty_bits)  # what a session's solve time is drawn at
+        self.proof_target = CompactTarget(sc.pow_proof_bits)  # what a found block's header must meet
 
         # faucet outputs fund every generated transaction; sized with margin
         # and credited to the chains as drawn (see _on_tx_arrival)
@@ -916,9 +918,8 @@ class _Sim:
         checked: dict = {}  # every chain starts from genesis_utxo, so one record serves all
         for nid in range(sc.node_count):
             chain = ChainState(GENESIS_HASH, genesis_utxo, checked)
-            node = _Node(
-                nid, node_address(nid), chain, warm.copy(), rates[nid], random.Random(f"{sc.seed}/mining/{nid}")
-            )
+            rng = random.Random(f"{sc.seed}/mining/{nid}")
+            node = _Node(nid, node_address(nid), chain, warm.copy(), HashRate(rates[nid]), rng)
             node.tx_store = warm.txs.copy()
             self.nodes.append(node)
 
@@ -1035,9 +1036,7 @@ class _Sim:
             self._announce(node, node.advert)
         elif self.strategy is RelayStrategy.BASELINE_FULL_BLOCK:
             node.pool_at_start = len(node.mempool.txs)
-        dt = sample_mining_time(
-            HashRate(node.rate), CompactTarget(self.sc.difficulty_bits), node.mining_rng
-        )
+        dt = sample_mining_time(node.rate, self.difficulty, node.mining_rng)
         self._schedule(self.now + dt, "found", node.nid, node.session)
 
     def _template_from(self, node: _Node, advert: Advert, started: float) -> BlockTemplate:
@@ -1061,7 +1060,7 @@ class _Sim:
             prev_block_hash=advert.prev_block_hash,
             coinbase=coinbase,
             transactions=txs,
-            difficulty_target=CompactTarget(self.sc.pow_proof_bits),
+            difficulty_target=self.proof_target,
             base_timestamp=int(started),
             max_size_bytes=self.sc.block_size_cap_bytes,
         )
@@ -1090,20 +1089,9 @@ class _Sim:
         height = node.chain.heights[parent] + 1
         self.find_time[bh] = self.now
         block_size = serialized_size(block)
-        self.log.records.append(
-            LogRecord(
-                self.now,
-                "block_found",
-                nid,
-                -1,
-                "",
-                block_size,
-                len(block.transactions),
-                oid,
-                parent.short(),
-                float(height),
-            )
-        )
+        ntx = len(block.transactions)
+        record = (self.now, "block_found", nid, -1, "", block_size, ntx, oid, parent.short(), float(height))
+        self.log.records.append(_new_record(LogRecord, record))
         if strategy is RelayStrategy.LATE_ADVERT:
             self._announce(node, advert)  # back to back with the seed
         if strategy is RelayStrategy.BASELINE_FULL_BLOCK:
@@ -1286,7 +1274,8 @@ class _Sim:
         """Log and absorb ``block`` (header hash ``bh``, short id ``oid``) at ``node``.
         A tip change can only adopt this block: ``add_block`` moves the tip to
         the block it adds or nowhere, so both records carry ``oid``."""
-        self.log.records.append(LogRecord(self.now, "block_accept", node.nid, -1, "", 0, -1, oid, "", pb))
+        record = (self.now, "block_accept", node.nid, -1, "", 0, -1, oid, "", pb)
+        self.log.records.append(_new_record(LogRecord, record))
         chain = node.chain
         registry = node.registry
         outcome = on_block_accepted(chain, node.mempool, registry, block)
@@ -1294,8 +1283,7 @@ class _Sim:
         if len(pull_log) != len(registry.entries):  # evict_stale dropped adverts: drop their ledgers
             node.pull_log = {key: pull_log[key] for key in registry.entries}
         if outcome.tip_changed:
-            self.log.records.append(
-                LogRecord(self.now, "tip_adopt", node.nid, -1, "", 0, -1, oid, "", float(chain.height))
-            )
+            record = (self.now, "tip_adopt", node.nid, -1, "", 0, -1, oid, "", float(chain.height))
+            self.log.records.append(_new_record(LogRecord, record))
             self._restart_mining(node)
         self._wake(node, bh)

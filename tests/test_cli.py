@@ -423,11 +423,17 @@ class TestValidateAndExitCodes:
         assert main(["run"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert main(["compare", "--help"]) == EXIT_OK
+        assert "usage: advertsim" in capsys.readouterr().out
+
 
 # Ten in-process compares in a fresh interpreter; prints, per command, its
-# exit code, the collector's tracked-object count and the frozen count.
+# exit code, the collector's tracked-object count and the frozen count, then
+# how many argparse help formatters and their sections are still tracked.
 _REPEATED_COMPARES = """
-import gc, json, sys
+import argparse, gc, json, sys
 sys.path.insert(0, sys.argv[1])
 from advertsim.cli import main
 counts = []
@@ -435,6 +441,8 @@ for _ in range(10):
     rc = main(["compare", "--scenario", sys.argv[2], "--out", sys.argv[3]])
     counts.append((rc, len(gc.get_objects()), gc.get_freeze_count()))
 print(json.dumps(counts))
+formatting = (argparse.HelpFormatter, argparse.HelpFormatter._Section)
+print(json.dumps(sum(isinstance(o, formatting) for o in gc.get_objects())))
 """
 
 
@@ -508,9 +516,13 @@ class TestCollectorPause:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        counts = json.loads(proc.stdout.splitlines()[-1])
+        counts, formatting = map(json.loads, proc.stdout.splitlines()[-2:])
         assert [rc for rc, _, _ in counts] == [EXIT_OK] * 10
         assert [frozen for _, _, frozen in counts] == [0] * 10
         # a parser built per command left about 200 objects behind each time
         settled = counts[1][1]
         assert all(abs(n - settled) <= 40 for _, n, _ in counts[1:]), counts
+        # the cached parser's one build makes help formatters, cyclic garbage
+        # that a build outside the pause would leave for every later command
+        # to freeze
+        assert formatting == 0

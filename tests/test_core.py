@@ -56,6 +56,11 @@ class TestHashBytes:
         assert hash_bytes(b"a") == dsha_oracle(b"a")
         assert hash_bytes(b"b") == dsha_oracle(b"b")
 
+    def test_digest_is_a_hash(self):
+        h = hash_bytes(b"x")
+        assert type(h) is Hash and len(h) == 32
+        assert Hash(h) is h
+
 
 class TestFixedWidthTypes:
     def test_hash_length_enforced(self):
@@ -69,6 +74,17 @@ class TestFixedWidthTypes:
         with pytest.raises(ValueError):
             Address(b"\x00" * 19)
         assert len(Address(b"\x00" * 20)) == 20
+
+    def test_address_of_an_address_is_itself(self):
+        raw = b"\x07" * 20
+        a = Address(raw)
+        assert Address(a) is a
+        assert a == raw and a is not raw and type(a) is Address  # bytes are copied
+        assert Address(bytearray(raw)) == a
+        with pytest.raises(ValueError):
+            Address(bytearray(21))
+        with pytest.raises(ValueError):
+            Address(hash_bytes(b"x"))  # a Hash is 32 bytes
 
     def test_hash_ordering_is_bytewise(self):
         a = Hash(b"\x00" * 31 + b"\x01")

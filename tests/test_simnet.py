@@ -1544,6 +1544,33 @@ class TestTemplateBuiltAtFind:
         assert crossed > 0  # some sessions span a second boundary
 
 
+class TestFixedValuesBuiltAtSetUp:
+    """The difficulty, the proof target and each node's hash rate are built
+    once, when the run is set up, not at each mining session or find."""
+
+    @pytest.mark.parametrize("strategy", [s.value for s in RelayStrategy])
+    def test_targets_and_rates_once_however_many_sessions(self, strategy, monkeypatch):
+        built = collections.Counter()
+
+        class CountingTarget(simnet.CompactTarget):
+            def __init__(self, *args):
+                built["target"] += 1
+                super().__init__(*args)
+
+        class CountingRate(simnet.HashRate):
+            def __init__(self, *args):
+                built["rate"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(simnet, "CompactTarget", CountingTarget)
+        monkeypatch.setattr(simnet, "HashRate", CountingRate)
+        sc = _forky_cold(horizon_seconds=10.0, relay_strategy=strategy)
+        log = run_scenario(sc)
+        sessions = sc.node_count + sum(r.kind == "tip_adopt" for r in log)
+        assert sessions > 4 * sc.node_count and any(r.kind == "block_found" for r in log)
+        assert built == {"target": 2, "rate": sc.node_count}
+
+
 class _LedgerCheckingSim(_Sim):
     """The simulator as shipped, checking after every acceptance that each
     node's pull ledger holds exactly the keys of its advert registry."""
