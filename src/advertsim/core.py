@@ -340,13 +340,9 @@ def serialized_size(message) -> int:
     raise TypeError(f"no size model for {type(message).__name__}")
 
 
-@serialized_size.register
-def _(tx: Transaction) -> int:
-    return tx.nominal_size_bytes
-
-
-@serialized_size.register
-def _(tx: CoinbaseTransaction) -> int:
+@serialized_size.register(Transaction)
+@serialized_size.register(CoinbaseTransaction)
+def _(tx: Transaction | CoinbaseTransaction) -> int:
     return tx.nominal_size_bytes
 
 

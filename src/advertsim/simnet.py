@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
 from heapq import heappop, heappush
-from itertools import islice
 from typing import Iterator, NamedTuple, get_type_hints
 
 from .core import (
@@ -502,8 +501,10 @@ class EventLog:
       bit for bit the time the simulator queued.
 
     Read records by iterating the log, which expands both; ``records`` has
-    one entry per record. A log without links (read from a file, or built
-    by hand) holds one plain record per entry.
+    one entry per record. ``lines``, ``write`` and ``sha256`` serialize the
+    held form directly, in one pass of their own, with no expanded record
+    built. A log without links (read from a file, or built by hand) holds
+    one plain record per entry.
     """
 
     def __init__(self, meta: dict, links: list[dict[int, Link]] | None = None) -> None:
@@ -558,35 +559,31 @@ class EventLog:
         once; its later copies, the same record object, add only their
         ``dst`` and ``mid``. A delivery, a flood's ``mid``, is written as
         the arrival time and the text after the kind of the flood's next copy
-        to arrive, kept as ``(arrival, tail)``, or for a wider flood as its
-        copies' ``(arrival, k, tail)``, sorted once, last first.
+        to arrive, from its copies' ``(arrival, k, tail)``, sorted once, last
+        first. It reads ``records`` once, in order, and never iterates the log.
 
-        A chunk whose text holds inf or nan, repr()'s non-finite floats, goes
-        through json (Infinity, NaN). Texts are searched only from the first
-        non-finite float formatted (``x - x`` is truthy only for those) to the
-        end of the log, as a later chunk may reuse a formatted text.
+        repr() spells a non-finite float inf or nan, json Infinity or NaN.
+        Once one has been formatted (``x - x`` is truthy only for those),
+        each piece's text is respelled, as a later piece may reuse a
+        formatted text. That is exact: no fixed word or hex id holds either
+        substring, and the meta line, which may, is in no piece.
         """
         yield _encode({"meta": self.meta}) + "\n"
         records = self.records
         links = self.links
-        ahead: dict[int, tuple | list] = {}  # by flood mid: its copies ahead
+        ahead: dict[int, list] = {}  # by flood mid: (arrival, k, tail) of its copies ahead, last first
         t_last = t_text = size_text = val_text = None
         size_last = val_last = object()  # the first record's objects differ from it
         flood = None  # the simulated send record whose copies are being written
         non_finite = False  # whether a float formatted so far was inf or nan
         for i in range(0, len(records), _CHUNK_LINES):
-            batch = records[i : i + _CHUNK_LINES]
             lines = []
-            for r in batch:
+            for r in records[i : i + _CHUNK_LINES]:
                 if r.__class__ is int:
-                    copy = ahead[r]
-                    if copy.__class__ is tuple:
+                    copies = ahead[r]
+                    t_arrival, _, tail = copies.pop()
+                    if not copies:
                         del ahead[r]
-                        t_arrival, tail = copy
-                    else:
-                        t_arrival, _, tail = copy.pop()
-                        if not copy:
-                            del ahead[r]
                     if t_arrival != t_last or not t_arrival:
                         t_last, t_text = t_arrival, repr(t_arrival)
                         if t_arrival - t_arrival:
@@ -630,39 +627,29 @@ class EventLog:
                     tail = f'{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
                     link = links[src][dst]
                     arrival = t + (link.latency + size / link.bandwidth)  # Link.delay, inlined
-                    if len(dsts) == 1:
-                        ahead[mid] = (arrival, tail)
-                    else:
-                        copies = ahead[mid] = [(arrival, 0, tail)]
+                    copies = ahead[mid] = [(arrival, 0, tail)]
                     lines.append(f'[{t_text},"send",{tail}')
                 else:
                     lines.append(
                         f'[{t_text},"{kind}",{src!r},{dst!r},"{msg}",{size_text},{mid!r},"{oid}","{ref}",{val_text}]\n'
                     )
             text = "".join(lines)
-            if non_finite and ("inf" in text or "nan" in text):
-                # no fixed word or hex id contains either substring. Simulated
-                # times and path bytes are finite, so a rebuilt chunk is rare.
-                if links is not None:
-                    batch = islice(self, i, i + _CHUNK_LINES)
-                text = "".join([_encode(r) + "\n" for r in batch])
+            if non_finite:
+                text = text.replace("inf", "Infinity").replace("nan", "NaN")
             yield text
-
-    def _chunks(self) -> Iterator[bytes]:
-        for text in self._texts():
-            yield text.encode()
 
     def sha256(self) -> str:
         h = hashlib.sha256()
-        for chunk in self._chunks():
-            h.update(chunk)
+        for text in self._texts():
+            h.update(text.encode())
         return h.hexdigest()
 
     def write(self, path) -> str:
         """Write the log to ``path``; return the sha256 hex of the bytes written."""
         h = hashlib.sha256()
         with open(path, "wb") as f:
-            for chunk in self._chunks():
+            for text in self._texts():
+                chunk = text.encode()
                 f.write(chunk)
                 h.update(chunk)
         return h.hexdigest()

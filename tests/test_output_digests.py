@@ -27,6 +27,17 @@ from advertsim.simnet import RelayStrategy
 REPO_ROOT = Path(__file__).resolve().parent.parent
 STRATEGIES = ",".join(s.value for s in RelayStrategy)
 
+# perfbench/golden.json (read only) pins events.ndjson of the demo at its
+# seed and of each benchmark workload at seed 1; the cases of the same runs
+# read those pins from it rather than keep copies
+GOLDEN = json.loads((REPO_ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+# case name: (golden entry, the scenario file it is for)
+GOLDEN_CASES = {
+    "demo": (GOLDEN["demo"], REPO_ROOT / GOLDEN["demo"]["scenario"]),
+    "forky-cold": (GOLDEN["workloads"]["forky-cold"], REPO_ROOT / "perfbench" / "workloads" / "forky-cold.json"),
+    "ring": (GOLDEN["workloads"]["ring"], REPO_ROOT / "perfbench" / "workloads" / "ring.json"),
+}
+
 # name: (scenario file, seed, field overrides, digests by output file)
 CASES = {
     "demo": (
@@ -41,9 +52,6 @@ CASES = {
             "ADVERT_PROTOCOL/blocks.csv": "6b8fb3c79f141d5a9d5df17fd5f603b9a59c2d427991b2bbe0dbbbc31f2a428b",
             "LATE_ADVERT/summary.json": "af7d5117981e633d6ecf436b8d37325e4cc57810c4298b5676d19b0cab6e8346",
             "LATE_ADVERT/blocks.csv": "b659cfed14d0372b88ad27817e8e10126c6ead4325ea68c6fbb4e434e95b5097",
-            "BASELINE_FULL_BLOCK/events.ndjson": "1eb891dba7147350b190e64bba6d122f61509b9588dfbfca84be1adeed088cac",
-            "ADVERT_PROTOCOL/events.ndjson": "df39c1b86e0b8d089940b5c0d338abdd8c82545a8dc0e66e02daa16f452f1f7a",
-            "LATE_ADVERT/events.ndjson": "62f1deac027dc38b0632fc0edb7233f0a70a4ada55e7a67e3164e5ede05b13a6",
         },
     ),
     # the benchmark's forky-cold workload (a file the tests only read), cut to 30 s
@@ -142,9 +150,6 @@ CASES = {
             "ADVERT_PROTOCOL/blocks.csv": "3852764768360b642641d96b6f335a36554e85ebf7317bf11162749ab5eb8edc",
             "LATE_ADVERT/summary.json": "fd4d940a2287edfd03d26cb1fdb132fa27759de3ba48117b6a97735914068fe6",
             "LATE_ADVERT/blocks.csv": "310425bd8fc6f60f6743fe691d6ac29d0299e018eb1208bef3e9c6e5ca476b95",
-            "BASELINE_FULL_BLOCK/events.ndjson": "fa1f04158943ce2a583a87129307b1247fe248b28eaa026c4c5581b5bc1d8193",
-            "ADVERT_PROTOCOL/events.ndjson": "7fcc0342689648a766e5bd9695046e1b7b6edd0fff336c5ea240a6c6b0836004",
-            "LATE_ADVERT/events.ndjson": "3b03ee5752b87414767dc92dcad174bfb22c68491c02398f7c0a28d698f18652",
         },
     ),
     # the benchmark's ring workload (read only), at its full 60 s: the second
@@ -161,9 +166,6 @@ CASES = {
             "ADVERT_PROTOCOL/blocks.csv": "629ccaf2a3c5e4751af08f66326f154f6dfbe5be20f86249a143dab4393c8cc3",
             "LATE_ADVERT/summary.json": "86ca5228f97351c906e03831e5f5f5101129e29e360633f79a57b2068452f38c",
             "LATE_ADVERT/blocks.csv": "f3065fddcd4daab76b883de4370f8a920f86bb2ae49ce00b0dd8ea3c6455248d",
-            "BASELINE_FULL_BLOCK/events.ndjson": "b2204dcf01c63b2f9a53b156c6c42299cdc61fb5feabb9de720671b8f0397304",
-            "ADVERT_PROTOCOL/events.ndjson": "7130e1964a1162ec254786789a868f4c7aeafc2cdcb978b586ab8fb7abc9728e",
-            "LATE_ADVERT/events.ndjson": "a77ffca7b667ea8fcfcd834e9e7c8b24795e6d865582cce4f378da8e110843ff",
         },
     ),
 }
@@ -172,6 +174,10 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_compare_outputs_match_pinned_digests(case, tmp_path):
     source, seed, overrides, pinned = CASES[case]
+    if case in GOLDEN_CASES:
+        golden, golden_source = GOLDEN_CASES[case]
+        assert (source, seed, overrides) == (golden_source, golden["seed"], {})
+        pinned = {**pinned, **{f"{s}/events.ndjson": d for s, d in golden["digests"].items()}}
     scenario = {**json.loads(source.read_text(encoding="utf-8")), **overrides}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")

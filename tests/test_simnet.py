@@ -842,7 +842,7 @@ class TestNoReferenceCycles:
 
 
 # finite floats, zeros of both signs and repeats common; inf and nan are put
-# in by _log_records, rarely, as they make a whole chunk go through json
+# in by _log_records, rarely, as they make the writer respell every later chunk
 _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.5]), st.floats(allow_nan=False, allow_infinity=False))
 _INTS = st.integers(min_value=-1, max_value=2**70)
 _WORDS = st.sampled_from(["", "tx", "advert", "seed", "block", "txreq", "txresp"])
@@ -994,7 +994,7 @@ class TestLogFormat:
         assert json.dumps(bad) in list(log.lines())[701]
 
     def test_non_finite_value_with_a_delivery_entry_matches_json(self, tmp_path):
-        # the chunk holding the inf goes through json, its delivery entry as
+        # the chunk holding the inf is respelled, its delivery entry written as
         # the rebuilt record, not as the bare int it is held as. A simulated
         # log holds a send as its flood's record, here a flood of one copy
         oid = "0123456789abcdef"
@@ -1021,17 +1021,67 @@ class TestLogFormat:
         self._assert_written_as_json(log, tmp_path)
         assert list(log.lines())[1025].startswith("[Infinity,")
 
+    @staticmethod
+    def _star_links() -> list[dict[int, Link]]:
+        """Node 0 linked to nodes 1, 2 and 3 at latencies 0.05, 0.01 and 0.03 s:
+        a flood from 0 to all three arrives at 2, then 3, then 1."""
+        latency = {1: 0.05, 2: 0.01, 3: 0.03}
+        links: list[dict[int, Link]] = [{} for _ in range(4)]
+        for d, lat in latency.items():
+            links[0][d] = links[d][0] = Link(0, d, lat, 1_000_000.0)
+        return links
+
+    @pytest.mark.parametrize("dsts", [(1,), (1, 2, 3)])
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    def test_non_finite_val_of_a_flood_delivered_in_the_next_chunk(self, bad, tmp_path):
-        # the delivery's line is the send's tail, formatted a chunk earlier
+    def test_non_finite_val_of_a_flood_delivered_in_the_next_chunk(self, bad, dsts, tmp_path):
+        # the deliveries' lines are the send's tail, formatted a chunk earlier;
+        # a wider flood's copies arrive out of index order, and all but the
+        # last are delivered before the chunk boundary
         oid = "0123456789abcdef"
-        link = Link(0, 1, 0.05, 1_000_000.0)
-        log = EventLog({"schema": 1}, [{1: link}, {0: link}])
-        filler = [LogRecord(float(i), "tip_adopt", 0, -1, "", 0, -1, oid, "", 1.0) for i in range(1020)]
-        send = LogRecord(1020.0, "send", 0, (1,), "seed", 300, 7, oid, "", bad)
-        log.records.extend([*filler, send, *filler[:9], 7])
+        n = len(dsts)
+        log = EventLog({"schema": 1}, self._star_links())
+        filler = [LogRecord(float(i), "tip_adopt", 0, -1, "", 0, -1, oid, "", 1.0) for i in range(1024)]
+        send = LogRecord(1020.0, "send", 0, dsts, "seed", 300, 7, oid, "", bad)
+        log.records.extend([*filler[: 1025 - 2 * n], *[send] * n, *[7] * (n - 1), *filler[:9], 7])
+        assert log.records[1023] == (send if n == 1 else 7)  # the last record of the first chunk
         self._assert_written_as_json(log, tmp_path)
-        assert list(log.lines())[1031].endswith("," + json.dumps(bad) + "]")
+        delivered = [line for line in log.lines() if '"deliver"' in line]
+        assert [json.loads(line)[3] for line in delivered] == sorted(dsts, key=lambda d: log.links[0][d].latency)
+        assert all(line.endswith("," + json.dumps(bad) + "]") for line in delivered)
+
+    def test_writer_reads_only_the_held_records(self, monkeypatch, tmp_path):
+        # an inf in the first chunk, a nan in the second, and a flood sent in
+        # the second and delivered in the third: the writer formats every
+        # line from ``records`` and never iterates the log
+        oid = "0123456789abcdef"
+        log = EventLog({"schema": 1}, self._star_links())
+        filler = [LogRecord(float(i), "tip_adopt", 0, -1, "", 0, -1, oid, "", 1.0) for i in range(2048)]
+        send = LogRecord(2040.0, "send", 0, (1, 2, 3), "seed", 300, 7, oid, "", 300.0)
+        log.records.extend([
+            *filler[:500],
+            LogRecord(500.0, "block_accept", 1, -1, "", 0, -1, oid, "", math.inf),
+            *filler[501:1500],
+            LogRecord(1500.0, "block_accept", 2, -1, "", 0, -1, oid, "", math.nan),
+            *filler[1501:2045],
+            send, send, send,
+            7, 7, 7,
+        ])
+
+        def iterate(self):
+            raise AssertionError("the writer iterated the log")
+
+        monkeypatch.setattr(EventLog, "__iter__", iterate)
+        lines = list(log.lines())
+        path = tmp_path / "events.ndjson"
+        digest = log.write(path)
+        assert log.sha256() == digest
+        monkeypatch.undo()
+        expected = [json.dumps({"meta": log.meta}, sort_keys=True, separators=(",", ":"))]
+        expected += [json.dumps(list(r), separators=(",", ":")) for r in log]
+        assert lines == expected
+        assert path.read_bytes() == "".join(line + "\n" for line in expected).encode()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert [json.loads(line)[3] for line in lines[-3:]] == [2, 3, 1]
 
     def test_delivery_whose_arrival_overflows_written_as_infinity(self, tmp_path):
         oid = "0123456789abcdef"
