@@ -38,12 +38,14 @@ BLOCK_CSV_COLUMNS = [
 
 
 class _LogIndex:
-    """What the metrics read from one log, gathered in one pass over its records.
+    """What the metrics read from one log, gathered in one pass over ``EventLog.distinct()``.
 
     ``blocks`` maps each block id to its ``block_found`` record (find order);
     ``adopts`` holds the ``tip_adopt`` records in log order; ``sizes`` has the
-    send bytes by family and the widest critical path per accepted block;
-    ``best`` is the eventually-best chain. Records are referenced, not copied.
+    send bytes by family, each send's size times the copies it stands for,
+    and the widest critical path per accepted block; ``best`` is the
+    eventually-best chain. Deliveries are read by no metric. Records are
+    referenced, not copied.
     """
 
     __slots__ = ("meta", "blocks", "adopts", "sizes", "best")
@@ -55,19 +57,10 @@ class _LogIndex:
         sizes = SizeStats()
         fam = sizes.bytes_by_family
         crit = sizes.critical_path_bytes
-        flood = None
-        for r in log.records:
-            if r.__class__ is int or r is flood:  # a simulated delivery, or a held flood's later copy
-                continue
+        for r, copies in log.distinct():
             kind = r.kind
             if kind == "send":
-                if r.dst.__class__ is tuple:  # a held flood: all its copies' bytes at its first entry
-                    flood = r
-                    fam[r.msg] = fam.get(r.msg, 0) + r.size * len(r.dst)
-                else:
-                    fam[r.msg] = fam.get(r.msg, 0) + r.size
-            elif kind == "deliver":  # in a log read from a file; as common as send, and read by no metric
-                continue
+                fam[r.msg] = fam.get(r.msg, 0) + r.size * copies
             elif kind == "block_accept":
                 if r.val > crit.get(r.oid, -1.0):
                     crit[r.oid] = r.val

@@ -501,10 +501,12 @@ class EventLog:
       bit for bit the time the simulator queued.
 
     Read records by iterating the log, which expands both; ``records`` has
-    one entry per record. ``lines``, ``write`` and ``sha256`` serialize the
-    held form directly, in one pass of their own, with no expanded record
-    built. A log without links (read from a file, or built by hand) holds
-    one plain record per entry.
+    one entry per record. ``distinct`` yields each record but the
+    deliveries once, with the number of copies it stands for, and is how
+    the metrics read a log. ``lines``, ``write`` and ``sha256`` serialize
+    the held form directly, in one pass of their own, with no expanded
+    record built. A log without links (read from a file, or built by hand)
+    holds one plain record per entry. Only this class reads the held form.
     """
 
     def __init__(self, meta: dict, links: list[dict[int, Link]] | None = None) -> None:
@@ -543,6 +545,25 @@ class EventLog:
             if k == len(dsts) - 1:
                 copies.sort(reverse=True)
             yield send
+
+    def distinct(self) -> Iterator[tuple[LogRecord, int]]:
+        """Every record but the deliveries, in log order, each once with the
+        number of copies it stands for: a held flood's send with ``len(dst)``,
+        every other record, a plain per-copy send included, with 1."""
+        if self.links is None:
+            for r in self.records:
+                if r.kind != "deliver":
+                    yield r, 1
+            return
+        flood = None
+        for r in self.records:
+            if r.__class__ is int or r is flood:  # a delivery, or a held flood's later copy
+                continue
+            if r.kind == "send":
+                flood = r
+                yield r, len(r.dst)
+            else:
+                yield r, 1
 
     def lines(self) -> Iterator[str]:
         for text in self._texts():

@@ -229,17 +229,25 @@ class TestReplayOracle:
         assert rate == pytest.approx(hand_count / len(finds))
         assert hand_count > 0  # this seed actually forks
 
-    def test_metrics_pure_over_serialization(self, tmp_path):
+    # a 4-node ring, where a relayed flood has one copy, and a 6-node
+    # degree-4 graph, where it has three
+    @pytest.mark.parametrize(
+        "nodes, topology",
+        [(4, {"kind": "ring"}), (6, {"kind": "random_regular", "degree": 4})],
+        ids=["ring", "random_regular"],
+    )
+    @pytest.mark.parametrize("strategy", list(RelayStrategy))
+    def test_metrics_pure_over_serialization(self, strategy, nodes, topology, tmp_path):
         sc = Scenario(
-            node_count=4,
-            topology={"kind": "ring"},
+            node_count=nodes,
+            topology=topology,
             hash_rate=10.0,
             difficulty_bits=6,
             tx_rate=2.0,
             initial_mempool_txs=40,
             horizon_seconds=25.0,
             seed=7,
-            relay_strategy=RelayStrategy.ADVERT_PROTOCOL,
+            relay_strategy=strategy,
         )
         live = run_scenario(sc)
         path = tmp_path / "events.ndjson"
@@ -248,6 +256,7 @@ class TestReplayOracle:
         assert summarize(reread) == summarize(live)
         assert stale_rate(reread) == stale_rate(live)
         assert wasted_hashpower(reread).per_node_wasted == wasted_hashpower(live).per_node_wasted
+        assert size_report(reread).bytes_by_family == size_report(live).bytes_by_family
 
     @pytest.mark.parametrize("strategy", list(RelayStrategy))
     def test_shortcut_walks_match_full_scans(self, strategy, monkeypatch):

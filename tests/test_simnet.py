@@ -1,5 +1,6 @@
 """Simulator: delays, dedup, topologies, determinism, causality, and flooding."""
 
+import ast
 import collections
 import gc
 import hashlib
@@ -783,6 +784,60 @@ class TestFloodHeldOnce:
         with open(path, encoding="utf-8") as f:
             assert len(entries) == sum(1 for _ in f) - 1  # the first line is the meta
         assert list(EventLog.read(path)) == records
+
+
+class TestDistinct:
+    """``EventLog.distinct`` yields each record but the deliveries once, with
+    the number of copies it stands for, from a held log and a plain one alike."""
+
+    def test_held_and_read_back_logs_agree(self, tmp_path):
+        oid = "0123456789abcdef"
+        # node 0 reaches 2, then 3, then 1 (latencies 0.01, 0.03 and 0.05 s)
+        log = EventLog({"schema": 1}, TestLogFormat._star_links())
+        tx = LogRecord(0.1, "tx_arrival", 0, -1, "", 500, -1, "fedcba9876543210", "", 0.0)
+        found = LogRecord(0.5, "block_found", 0, -1, "", 1000, 2, oid, "abcdef0123456789", 1.0)
+        flood = LogRecord(0.5, "send", 0, (1, 2, 3), "seed", 300, 7, oid, "", 300.0)
+        pull = LogRecord(0.52, "send", 2, (0,), "txreq", 40, 10, oid, "", 0.0)
+        accept = LogRecord(0.6, "block_accept", 2, -1, "", 0, -1, oid, "", 300.0)
+        adopt = LogRecord(0.6, "tip_adopt", 2, -1, "", 0, -1, oid, "", 1.0)
+        log.records.extend([tx, found, flood, flood, flood, 7, pull, 7, accept, adopt, 10, 7])
+        distinct = list(log.distinct())
+        assert distinct == [(tx, 1), (found, 1), (flood, 3), (pull, 1), (accept, 1), (adopt, 1)]
+        assert all(r is e for (r, _), e in zip(distinct, [tx, found, flood, pull, accept, adopt]))
+
+        path = tmp_path / "events.ndjson"
+        log.write(path)
+        reread = EventLog.read(path)
+        assert sum(r.kind == "deliver" for r in reread.records) == 4
+        plain = list(reread.distinct())
+        assert all(copies == 1 and r.kind != "deliver" for r, copies in plain)
+        assert [r.dst for r, _ in plain if r.kind == "send"] == [1, 2, 3, 0]
+
+        def family_bytes(pairs):
+            fam = collections.Counter()
+            for r, copies in pairs:
+                if r.kind == "send":
+                    fam[r.msg] += r.size * copies
+            return fam
+
+        assert family_bytes(plain) == family_bytes(distinct) == {"seed": 900, "txreq": 40}
+        assert [r for r, _ in plain if r.kind != "send"] == [r for r, _ in distinct if r.kind != "send"]
+
+
+class TestHeldFormLayering:
+    def test_only_simnet_reads_log_records(self):
+        # the held form is EventLog's alone: every other module reads a log
+        # by iterating it, or through distinct()
+        package = Path(simnet.__file__).resolve().parent
+        modules = sorted(p for p in package.glob("*.py") if p.name != "simnet.py")
+        assert "metrics.py" in [p.name for p in modules]
+        readers = [
+            f"{p.name}:{node.lineno}"
+            for p in modules
+            for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+            if isinstance(node, ast.Attribute) and node.attr == "records"
+        ]
+        assert readers == []
 
 
 class TestSeenTable:
