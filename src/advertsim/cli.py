@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
 from functools import cache
@@ -33,14 +32,13 @@ EXIT_USAGE = 1
 EXIT_SCENARIO = 2
 EXIT_RUNTIME = 3
 
-OUT_ROOT_ENV = "ADVERTSIM_OUT"
-
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file, filling documented defaults.
 
-    Raises ScenarioError with the offending field named, or ValueError
-    with line/position diagnostics for malformed JSON.
+    Raises ScenarioError with the offending field named; a file that
+    cannot be read, is not UTF-8 or is malformed JSON is named by its path
+    under the field ``scenario``, malformed JSON with its line and column.
     """
     return Scenario.from_dict(_read_scenario(path))
 
@@ -50,10 +48,12 @@ def _read_scenario(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ScenarioError("scenario", f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError("scenario", f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+        raise ScenarioError("scenario", f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict):
         raise ScenarioError("scenario", "top level must be a JSON object")
     return data
@@ -70,9 +70,7 @@ def _load_with_overrides(args) -> Scenario:
 
 
 def _out_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
+    return Path(args.out or "runs")
 
 
 def _execute(sc: Scenario, outdir: Path) -> dict:
@@ -217,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, strategy=True):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help=f"output root (default $" + OUT_ROOT_ENV + " or ./runs)")
+        p.add_argument("--out", default=None, help="output root (default ./runs)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario rng seed")
         if strategy:
             p.add_argument(
@@ -271,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
                 return args.func(args)
             finally:
                 drop_workload()
-    except (ScenarioError, ValueError) as e:
+    except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure

@@ -77,8 +77,6 @@ FAUCET_VALUE = 1_000
 _FAUCET_ENTRY = (FAUCET_ADDRESS, FAUCET_VALUE)
 _SIM_POW_BUDGET = MiningBudget(1 << 26)
 
-NodeId = int
-
 
 class RelayStrategy(str, Enum):
     BASELINE_FULL_BLOCK = "BASELINE_FULL_BLOCK"
@@ -88,20 +86,13 @@ class RelayStrategy(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class Link:
-    """Symmetric point-to-point link between two nodes."""
+    """A symmetric point-to-point link: its latency in seconds and bandwidth
+    in bytes per second. Each node keys its links by neighbour, so the link
+    holds no endpoints; ``Scenario.validate`` checks its values (latency
+    >= 0, bandwidth > 0, no self-link) before ``_Sim`` builds any."""
 
-    a: NodeId
-    b: NodeId
     latency: float
     bandwidth: float
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("self-links are not allowed")
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
 
     def delay(self, size: int) -> float:
         """Seconds for a message of ``size`` modelled bytes to cross the link.
@@ -246,6 +237,9 @@ class Scenario:
             raise ScenarioError("initial_mempool_txs", "must be >= 0")
         if not self.horizon_seconds > 0:
             raise ScenarioError("horizon_seconds", "must be positive")
+        if not math.isfinite(self.tx_rate * self.horizon_seconds * 3):
+            msg = "tx_rate * horizon_seconds * 3, the run's faucet size, must be finite"
+            raise ScenarioError("horizon_seconds", msg)
         cap_floor = HEADER_WIRE_BYTES + self.coinbase_size_bytes
         if self.block_size_cap_bytes < cap_floor:
             raise ScenarioError("block_size_cap_bytes", f"must be >= {cap_floor}, a header and a coinbase")
@@ -755,26 +749,16 @@ def _faucet_tx(i: int, rng: random.Random, tx_size_bytes: int) -> Transaction:
     return Transaction(inputs=((fid, 0),), outputs=((recipient, FAUCET_VALUE),), nominal_size_bytes=tx_size_bytes)
 
 
-def _warm_pool(seed: int, initial_mempool_txs: int, tx_size_bytes: int) -> tuple[Mempool, dict]:
-    """The warm pool, which nodes only copy, and the genesis UTXO dict: the
-    outputs its transactions spend, minted before any chain exists."""
-    warm = Mempool()
-    rng = random.Random(f"{seed}/warm")
-    for i in range(initial_mempool_txs):
-        warm.insert_unchecked(_faucet_tx(i, rng, tx_size_bytes))
-    return warm, dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
-
-
 class _Workload:
     """A scenario's transactions: the warm pool and the faucet arrival stream.
 
-    Both are functions of the five fields of ``_workload``'s key alone (the
-    pool of the first three), and transactions are immutable, so every run
-    of a key reads one copy: a run copies ``warm`` into each node (a chain
-    copies ``genesis_utxo``) and changes neither, and it reads the stream in
-    order up to its own ``n_faucet``. Faucet output *i* funds the *i*-th
-    transaction: the warm pool spends the first ``initial_mempool_txs``, the
-    arrivals the rest.
+    Both are functions of the five fields of ``_workload``'s key alone, and
+    transactions are immutable, so every run of a key reads one copy: a run
+    copies ``warm`` into each node (a chain copies ``genesis_utxo``, the
+    outputs the warm pool spends, minted before any chain exists) and
+    changes neither, and it reads the stream in order up to its own
+    ``n_faucet``. Faucet output *i* funds the *i*-th transaction: the warm
+    pool spends the first ``initial_mempool_txs``, the arrivals the rest.
     """
 
     def __init__(self, seed: int, initial_mempool_txs: int, tx_size_bytes: int, tx_rate: float, node_count: int):
@@ -782,7 +766,11 @@ class _Workload:
         self.tx_size_bytes = tx_size_bytes
         self.tx_rate = tx_rate
         self.node_count = node_count
-        self.warm, self.genesis_utxo = _cached(_POOL, (seed, initial_mempool_txs, tx_size_bytes), _warm_pool)
+        self.warm = warm = Mempool()
+        rng = random.Random(f"{seed}/warm")
+        for i in range(initial_mempool_txs):
+            warm.insert_unchecked(_faucet_tx(i, rng, tx_size_bytes))
+        self.genesis_utxo = dict.fromkeys(warm.spent_outpoints, _FAUCET_ENTRY)
         self.rng = random.Random(f"{seed}/arrivals")
         self.gap0: float | None = None
         # arrival k: (transaction, origin node, seconds to arrival k + 1,
@@ -809,19 +797,9 @@ class _Workload:
         return arrivals[k]
 
 
-# The cached warm pool and workload, each as [(key, value)] or empty: one
-# entry each, so a process holds one of each at a time.
-_POOL: list[tuple[tuple, tuple[Mempool, dict]]] = []
-_WORKLOAD: list[tuple[tuple, _Workload]] = []
-
-
-def _cached(cache: list, key: tuple, build):
-    """``build(*key)``, kept in the one-entry ``cache``; another key frees the
-    entry before building its own."""
-    if not cache or cache[0][0] != key:
-        cache.clear()
-        cache.append((key, build(*key)))
-    return cache[0][1]
+# The cached workload as [key, workload], or empty: one entry, so a process
+# holds one workload at a time.
+_WORKLOAD: list = []
 
 
 def _workload(sc: Scenario) -> _Workload:
@@ -829,19 +807,21 @@ def _workload(sc: Scenario) -> _Workload:
     ``tx_rate`` and ``node_count``, built on the first run of that key.
 
     The strategies of a ``compare``, the values of a sweep over any other
-    field, and repeated runs share it; its warm pool, keyed by the first
-    three fields alone, is shared also across values of ``tx_rate`` and
-    ``node_count``. ``cli.main`` drops both as each command ends
-    (``drop_workload``).
+    field, and repeated runs share it. Another key frees it before building
+    its own, so a sweep over one of the five fields builds the workload,
+    warm pool included, once per value. ``cli.main`` drops it as each
+    command ends (``drop_workload``).
     """
     key = (sc.seed, sc.initial_mempool_txs, sc.tx_size_bytes, sc.tx_rate, sc.node_count)
-    return _cached(_WORKLOAD, key, _Workload)
+    if not _WORKLOAD or _WORKLOAD[0] != key:
+        _WORKLOAD.clear()
+        _WORKLOAD[:] = key, _Workload(*key)
+    return _WORKLOAD[1]
 
 
 def drop_workload() -> None:
-    """Free the cached workload and warm pool, if any."""
+    """Free the cached workload, if any."""
     _WORKLOAD.clear()
-    _POOL.clear()
 
 
 def run_scenario(scenario: Scenario) -> EventLog:
@@ -935,7 +915,7 @@ class _Sim:
         for a, b in edges:
             lat = _dist_sample(sc.link_latency, link_rng)
             bw = _dist_sample(sc.link_bandwidth, link_rng)
-            link = Link(a, b, lat, bw)
+            link = Link(lat, bw)
             self.nodes[a].neighbors[b] = link
             self.nodes[b].neighbors[a] = link
         for node in self.nodes:

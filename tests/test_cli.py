@@ -419,6 +419,36 @@ class TestValidateAndExitCodes:
             == EXIT_SCENARIO
         )
 
+    def test_file_that_is_not_utf8_exit_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(TINY).encode("utf-16-le"))
+        assert main(["validate-scenario", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(f"scenario: cannot read {path}: not UTF-8" in line for line in err)
+
+    def test_faucet_size_a_run_cannot_build_exit_2(self, tmp_path, capsys):
+        # tx_rate * horizon_seconds * 3 overflows to inf, which the run
+        # cannot turn into a faucet output count
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"node_count": 2, "topology": {"kind": "ring"}, "horizon_seconds": 1e308,
+                                    "tx_rate": 10.0, "name": "h"}))
+        out = tmp_path / "o"
+        assert main(["validate-scenario", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_SCENARIO
+        message = "horizon_seconds: tx_rate * horizon_seconds * 3, the run's faucet size, must be finite"
+        assert capsys.readouterr().err.count(message) == 2
+        assert not out.exists()
+
+    def test_value_error_inside_a_run_exit_3(self, tiny_scenario, tmp_path, monkeypatch, capsys):
+        # only a ScenarioError is an invalid scenario; any other fault is the run's
+        def failing_run(sc):
+            raise ValueError("internal fault inside the run")
+
+        monkeypatch.setattr(cli, "run_scenario", failing_run)
+        assert main(["run", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "runtime failure: internal fault inside the run" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["run"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
